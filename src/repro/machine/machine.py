@@ -20,7 +20,7 @@ import heapq
 import time
 from collections import deque
 
-from repro.compiler.bytecode import Op
+from repro.compiler.bytecode import WATCHABLE, Op
 from repro.errors import (
     DeadlockError,
     DivideByZero,
@@ -35,12 +35,37 @@ from repro.machine.runtime_iface import BaseRuntime
 from repro.machine.threads import Frame, Thread, ThreadState
 from repro.machine.watchpoints import DebugRegisterFile
 
+# Enum member access costs ~10x a local compare on CPython, so nothing on
+# the per-instruction path looks one up: thread states are bound here
+# once, and opcodes are decoded to dense ints once per machine.
+_RUNNABLE = ThreadState.RUNNABLE
+_RUNNING = ThreadState.RUNNING
+_SLEEPING = ThreadState.SLEEPING
+_BLOCKED_JOIN = ThreadState.BLOCKED_JOIN
+_BLOCKED_LOCK = ThreadState.BLOCKED_LOCK
+_DONE = ThreadState.DONE
+_UNWAKEABLE = (_DONE, _RUNNABLE, _RUNNING)
+
+#: Dense opcodes of the decode table, one per Op (each named ``_`` + the
+#: Op's name).  The watchable ops come first, so ``kind < _PLAIN`` is the
+#: whole watchability test; the rest follow in rough dispatch frequency,
+#: the order of the plain chain in ``_execute``.
+(_LD, _ST, _STPARAM, _CPY, _LOCK, _UNLOCK, _CAS, _AADD, _CALLIND,
+ _LADDR, _LI, _ADD, _JZ, _MUL, _JMP, _NOT, _LT, _MOD,
+ _ENDAT, _BEGINAT, _SHADOWST, _MOV, _ENTER, _CLEARAR,
+ _RET, _CALL, _EQ, _SUB, _DIV, _NE, _LE, _GT, _GE,
+ _AND, _OR, _NEG, _JNZ, _SLEEP, _YIELD, _JOIN, _SPAWN,
+ _OUT, _ALLOC, _RAND, _TID, _HALT, _UNKNOWN) = range(len(Op) + 1)
+_PLAIN = _LADDR
+_KIND_OF = {op: globals()["_" + op.name] for op in Op}
+assert {op for op, kind in _KIND_OF.items() if kind < _PLAIN} == set(WATCHABLE)
+
 
 class Core:
     """One simulated CPU core."""
 
     __slots__ = ("index", "dr", "thread", "clock", "quantum_end", "last_tid",
-                 "instr_count", "next_tick")
+                 "next_tick")
 
     def __init__(self, index, num_watchpoints):
         self.index = index
@@ -49,7 +74,6 @@ class Core:
         self.clock = 0
         self.quantum_end = 0
         self.last_tid = None
-        self.instr_count = 0
         self.next_tick = 0
 
 
@@ -72,10 +96,6 @@ class MachineResult:
         # halt; the chaos suite compares this against a fault-free run
         self.final_globals = final_globals if final_globals is not None else {}
 
-    @property
-    def time_seconds(self):
-        return self.time_ns / 1e9
-
     def __repr__(self):
         return "MachineResult(time=%.3fms, instrs=%d, threads=%d%s)" % (
             self.time_ns / 1e6,
@@ -94,6 +114,10 @@ class Machine:
                  profiler=None):
         self.program = program
         self.instrs = program.instrs
+        # the per-pc dispatch table; an op the machine does not implement
+        # decodes to _UNKNOWN and faults only if executed
+        self._decoded = [(_KIND_OF.get(i.op, _UNKNOWN), i.a, i.b, i.c, i.d)
+                         for i in self.instrs]
         self.memory = Memory()
         for addr, value in program.global_inits.items():
             self.memory.words[addr] = value
@@ -161,6 +185,7 @@ class Machine:
 
         main = Thread(self._alloc_tid(), program.entry(), parent=None, seed=seed)
         self.threads[main.tid] = main
+        self._live = 1  # threads not DONE
         self.run_queue.append(main.tid)
         # tid -> root function name (the conflict scheduler's candidate
         # footprints come from the function a thread was spawned into)
@@ -216,17 +241,12 @@ class Machine:
             tid = thread.tid
             self.schedule_event(wake_time, lambda m: m._timed_wake(tid))
 
-    def block_thread_object(self, thread, state):
-        """Block a thread that is not currently on a core (rare)."""
-        thread.state = state
-
     def wake_thread(self, tid):
         """Make a blocked thread runnable again."""
         thread = self.threads.get(tid)
-        if thread is None or thread.state in (ThreadState.DONE, ThreadState.RUNNABLE,
-                                              ThreadState.RUNNING):
+        if thread is None or thread.state in _UNWAKEABLE:
             return False
-        thread.state = ThreadState.RUNNABLE
+        thread.state = _RUNNABLE
         thread.wake_time = None
         self.run_queue.append(tid)
         self._wake_pending[tid] = self.now()
@@ -234,11 +254,8 @@ class Machine:
 
     def _timed_wake(self, tid):
         thread = self.threads.get(tid)
-        if thread is not None and thread.state == ThreadState.SLEEPING:
+        if thread is not None and thread.state is _SLEEPING:
             self.wake_thread(tid)
-
-    def set_pc(self, tid, pc):
-        self.threads[tid].pc = pc
 
     def kernel_entry(self, core, thread=None):
         """Record a kernel entry on ``core`` (syscall/trap/interrupt) and
@@ -247,7 +264,7 @@ class Machine:
         self.runtime.on_kernel_entry(core, thread if thread is not None else core.thread)
 
     def live_threads(self):
-        return [t for t in self.threads.values() if t.state != ThreadState.DONE]
+        return [t for t in self.threads.values() if t.state is not _DONE]
 
     # ------------------------------------------------------------------
     # internals
@@ -272,17 +289,19 @@ class Machine:
             child.regs[i] = parent.regs[i]
         parent.live_children += 1
         self.threads[child.tid] = child
+        self._live += 1
         self.run_queue.append(child.tid)
         self.thread_funcs[child.tid] = image.name
         return child
 
     def _thread_exit(self, core, thread):
-        thread.state = ThreadState.DONE
+        thread.state = _DONE
+        self._live -= 1
         core.thread = None
         if thread.parent is not None:
             parent = self.threads[thread.parent]
             parent.live_children -= 1
-            if parent.state == ThreadState.BLOCKED_JOIN and parent.live_children == 0:
+            if parent.state is _BLOCKED_JOIN and parent.live_children == 0:
                 self.wake_thread(parent.tid)
         self.runtime.on_thread_exit(core, thread)
 
@@ -315,7 +334,7 @@ class Machine:
         if tid is None:
             while self.run_queue:
                 cand = self.run_queue.popleft()
-                if self.threads[cand].state != ThreadState.RUNNABLE:
+                if self.threads[cand].state is not _RUNNABLE:
                     continue
                 tid = cand
                 break
@@ -329,7 +348,7 @@ class Machine:
                 sample = 0
             self.sched_latency_ema = (3 * self.sched_latency_ema
                                       + sample) // 4
-        thread.state = ThreadState.RUNNING
+        thread.state = _RUNNING
         thread.last_core = core.index
         core.thread = thread
         core.quantum_end = core.clock + self.costs.quantum
@@ -365,15 +384,23 @@ class Machine:
     def run(self, raise_on_deadlock=False):
         """Run the program to completion; returns a MachineResult."""
         steps = 0
+        max_steps = self.max_steps
+        cores = self.cores
+        events = self._events
         try:
-            while True:
-                if all(t.state == ThreadState.DONE for t in self.threads.values()):
-                    break
-                core = min(self.cores, key=lambda c: c.clock)
-                if self._fire_due_events(core.clock):
+            while self._live:
+                # the earliest core runs next (the lowest index on a tie),
+                # after any event due by its clock
+                core = cores[0]
+                for other in cores:
+                    if other.clock < core.clock:
+                        core = other
+                if (events and events[0][0] <= core.clock
+                        and self._fire_due_events(core.clock)):
                     continue
-                if core.thread is None or core.thread.state != ThreadState.RUNNING:
-                    if core.thread is not None:
+                thread = core.thread
+                if thread is None or thread.state is not _RUNNING:
+                    if thread is not None:
                         core.thread = None
                     if not self._schedule(core):
                         # an idle core sits in the kernel idle loop: it
@@ -395,7 +422,7 @@ class Machine:
                 wall = self._wall_profiler
                 if wall is not None:
                     # attribute host time to the about-to-run opcode here
-                    # so _execute's hook stays a bare dict increment
+                    # so _execute's hook stays a bare list increment
                     pc = core.thread.pc
                     if 0 <= pc < len(self.instrs):
                         wall._last_op = self.instrs[pc].op
@@ -405,9 +432,9 @@ class Machine:
                 else:
                     self._execute(core)
                 steps += 1
-                if steps >= self.max_steps:
+                if steps >= max_steps:
                     raise StepLimitExceeded(
-                        "exceeded %d instructions" % self.max_steps
+                        "exceeded %d instructions" % max_steps
                     )
         except (DivideByZero, StackOverflow, MemoryFault) as exc:
             # A program-level crash: several corpus bugs crash the victim
@@ -453,338 +480,319 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _execute(self, core):
+        """Run one instruction of ``core``'s thread.  Watchable ops build
+        their ``(addr, is_write)`` access list from the pre-commit state,
+        commit, then take watchpoint delivery; plain ops just commit."""
         thread = core.thread
-        instrs = self.instrs
         pc = thread.pc
-        if pc < 0 or pc >= len(instrs):
+        decoded = self._decoded
+        if pc < 0 or pc >= len(decoded):
             raise MachineError("pc out of range: %d (tid %d)" % (pc, thread.tid))
-        instr = instrs[pc]
-        op = instr.op
+        kind, a, b, c, d = decoded[pc]
         counts = self._pc_counts
         if counts is not None:
             counts[pc] += 1
         regs = thread.regs
         costs = self.costs
         cost = costs.instr
-        accesses = None  # list of (addr, is_write) for watchable ops
 
-        # ---- pre-compute watchable accesses (addresses derive from regs) --
-        if op is Op.LD:
-            accesses = ((regs[instr.b], False),)
-        elif op is Op.ST:
-            accesses = ((regs[instr.a], True),)
-        elif op is Op.CPY:
-            accesses = ((regs[instr.b], False), (regs[instr.a], True))
-        elif op is Op.STPARAM:
-            accesses = ((thread.fp - 1 - instr.a, True),)
-        elif op is Op.LOCK:
-            addr = regs[instr.a]
-            if self.memory.read(addr) == 0:
-                accesses = ((addr, False), (addr, True))
-            else:
-                accesses = ((addr, False),)
-        elif op is Op.UNLOCK:
-            accesses = ((regs[instr.a], True),)
-        elif op is Op.CAS:
-            addr = regs[instr.b]
-            if self.memory.read(addr) == regs[instr.c]:
-                accesses = ((addr, False), (addr, True))
-            else:
-                accesses = ((addr, False),)
-        elif op is Op.AADD:
-            addr = regs[instr.b]
-            accesses = ((addr, False), (addr, True))
-        elif op is Op.CALLIND:
-            accesses = ((regs[instr.a], False),)
-
-        # ---- trap-before hardware (SPARC-style ablation) ------------------
-        if accesses is not None and self.trap_before:
-            hits = self._check_watchpoints(core, thread, accesses)
-            if hits and self.faults is not None and self.faults.fires(
-                    "machine.trap.drop", core.clock,
-                    tid=thread.tid, pc=pc):
-                hits = ()
-            if hits:
-                cost += self.costs.trap
-                cost += self.runtime.on_watchpoint_trap(
-                    core, thread, None, hits, accesses
-                )
-                core.clock += cost
-                # handler decides: if it suspended the thread, the access
-                # never happened and the instruction re-executes on wake.
-                if thread.state != ThreadState.RUNNING:
+        if kind >= _PLAIN:
+            thread.pc = pc + 1
+            if kind == _LADDR:
+                regs[a] = thread.fp - 1 - b
+            elif kind == _LI:
+                regs[a] = b
+            elif kind == _ADD:
+                regs[a] = regs[b] + regs[c]
+            elif kind == _JZ:
+                if regs[a] == 0:
+                    thread.pc = b
+            elif kind == _MUL:
+                regs[a] = regs[b] * regs[c]
+                cost = costs.mul_div
+            elif kind == _JMP:
+                thread.pc = a
+            elif kind == _NOT:
+                regs[a] = 0 if regs[b] else 1
+            elif kind == _LT:
+                regs[a] = 1 if regs[b] < regs[c] else 0
+            elif kind == _MOD:
+                if regs[c] == 0:
+                    raise DivideByZero("modulo by zero at %s"
+                                       % self.program.location(pc))
+                regs[a] = regs[b] % regs[c]
+                cost = costs.mul_div
+            elif kind == _ENDAT:
+                cost = self.runtime.on_end_atomic(core, thread, a, b == 1)
+            elif kind == _BEGINAT:
+                cost = self.runtime.on_begin_atomic(core, thread, a, regs[b])
+            elif kind == _SHADOWST:
+                cost = self.runtime.on_shadow_store(core, thread, a, regs[b])
+            elif kind == _MOV:
+                regs[a] = regs[b]
+            elif kind == _ENTER:
+                thread.sp -= 1
+                self.memory.write(thread.sp, thread.fp)
+                thread.fp = thread.sp
+                thread.sp -= a
+                if thread.sp < Memory.stack_limit(thread.tid):
+                    raise StackOverflow("thread %d stack overflow" % thread.tid)
+            elif kind == _CLEARAR:
+                cost = self.runtime.on_clear_ar(core, thread)
+            elif kind == _RET and thread.frames:
+                frame = thread.frames.pop()
+                result = regs[0]
+                thread.regs = frame.saved_regs
+                thread.regs[frame.result_reg] = result
+                thread.sp = frame.saved_sp
+                thread.fp = frame.saved_fp
+                thread.pc = frame.return_pc
+                cost = costs.call
+            elif kind == _CALL:
+                self._do_call(thread, a, b, c, pc + 1)
+                cost = costs.call
+            elif kind == _EQ:
+                regs[a] = 1 if regs[b] == regs[c] else 0
+            elif kind == _SUB:
+                regs[a] = regs[b] - regs[c]
+            elif kind == _DIV:
+                if regs[c] == 0:
+                    raise DivideByZero("division by zero at %s"
+                                       % self.program.location(pc))
+                regs[a] = regs[b] // regs[c]
+                cost = costs.mul_div
+            elif kind == _NE:
+                regs[a] = 1 if regs[b] != regs[c] else 0
+            elif kind == _LE:
+                regs[a] = 1 if regs[b] <= regs[c] else 0
+            elif kind == _GT:
+                regs[a] = 1 if regs[b] > regs[c] else 0
+            elif kind == _GE:
+                regs[a] = 1 if regs[b] >= regs[c] else 0
+            elif kind == _AND:
+                regs[a] = 1 if (regs[b] and regs[c]) else 0
+            elif kind == _OR:
+                regs[a] = 1 if (regs[b] or regs[c]) else 0
+            elif kind == _NEG:
+                regs[a] = -regs[b]
+            elif kind == _JNZ:
+                if regs[a] != 0:
+                    thread.pc = b
+            elif _SLEEP <= kind <= _JOIN:
+                ns = max(0, regs[a])  # SLEEP's duration
+                cost = costs.syscall
+                self.kernel_entry(core, thread)
+                if kind == _SLEEP:
+                    self.block_current(core, _SLEEPING,
+                                       wake_time=core.clock + cost + ns)
+                elif kind == _YIELD:
+                    thread.state = _RUNNABLE
+                    self.run_queue.append(thread.tid)
                     core.thread = None
-                    return
-                # otherwise fall through and commit normally
-
-        # ---- commit -------------------------------------------------------
-        thread.pc = pc + 1
-        blocked = False
-        retried = False
-
-        if op is Op.LD:
-            regs[instr.a] = self.memory.read(regs[instr.b])
-            cost = costs.mem_instr
-        elif op is Op.ST:
-            self.memory.write(regs[instr.a], regs[instr.b])
-            cost = costs.mem_instr
-        elif op is Op.LI:
-            regs[instr.a] = instr.b
-        elif op is Op.MOV:
-            regs[instr.a] = regs[instr.b]
-        elif op is Op.ADD:
-            regs[instr.a] = regs[instr.b] + regs[instr.c]
-        elif op is Op.SUB:
-            regs[instr.a] = regs[instr.b] - regs[instr.c]
-        elif op is Op.MUL:
-            regs[instr.a] = regs[instr.b] * regs[instr.c]
-            cost = costs.mul_div
-        elif op is Op.DIV:
-            if regs[instr.c] == 0:
-                raise DivideByZero("division by zero at %s"
-                                   % self.program.location(pc))
-            regs[instr.a] = regs[instr.b] // regs[instr.c]
-            cost = costs.mul_div
-        elif op is Op.MOD:
-            if regs[instr.c] == 0:
-                raise DivideByZero("modulo by zero at %s"
-                                   % self.program.location(pc))
-            regs[instr.a] = regs[instr.b] % regs[instr.c]
-            cost = costs.mul_div
-        elif op is Op.EQ:
-            regs[instr.a] = 1 if regs[instr.b] == regs[instr.c] else 0
-        elif op is Op.NE:
-            regs[instr.a] = 1 if regs[instr.b] != regs[instr.c] else 0
-        elif op is Op.LT:
-            regs[instr.a] = 1 if regs[instr.b] < regs[instr.c] else 0
-        elif op is Op.LE:
-            regs[instr.a] = 1 if regs[instr.b] <= regs[instr.c] else 0
-        elif op is Op.GT:
-            regs[instr.a] = 1 if regs[instr.b] > regs[instr.c] else 0
-        elif op is Op.GE:
-            regs[instr.a] = 1 if regs[instr.b] >= regs[instr.c] else 0
-        elif op is Op.AND:
-            regs[instr.a] = 1 if (regs[instr.b] and regs[instr.c]) else 0
-        elif op is Op.OR:
-            regs[instr.a] = 1 if (regs[instr.b] or regs[instr.c]) else 0
-        elif op is Op.NOT:
-            regs[instr.a] = 0 if regs[instr.b] else 1
-        elif op is Op.NEG:
-            regs[instr.a] = -regs[instr.b]
-        elif op is Op.JMP:
-            thread.pc = instr.a
-        elif op is Op.JZ:
-            if regs[instr.a] == 0:
-                thread.pc = instr.b
-        elif op is Op.JNZ:
-            if regs[instr.a] != 0:
-                thread.pc = instr.b
-        elif op is Op.LADDR:
-            regs[instr.a] = thread.fp - 1 - instr.b
-        elif op is Op.CALL:
-            self._do_call(thread, instr.a, instr.b, instr.c, pc + 1)
-            cost = costs.call
-        elif op is Op.CALLIND:
-            fidx = self.memory.read(regs[instr.a])
-            if not (0 <= fidx < len(self.program.func_by_index)):
-                raise MachineError(
-                    "indirect call to bad function index %d at %s"
-                    % (fidx, self.program.location(pc))
-                )
-            self._do_call(thread, fidx, 0, 0, pc + 1)
-            cost = costs.call + costs.mem_instr
-        elif op is Op.RET:
-            cost = costs.call
-            if not thread.frames:
+                elif thread.live_children > 0:
+                    self.block_current(core, _BLOCKED_JOIN)
+            elif kind == _SPAWN:
+                self._spawn(thread, a, b)
+                cost = costs.spawn
+                self.kernel_entry(core, thread)
+            elif kind == _OUT:
+                self.output.append(regs[a])
+            elif kind == _ALLOC:
+                regs[a] = self.memory.alloc(regs[b])
+                cost = costs.call
+            elif kind == _RAND:
+                regs[a] = thread.next_rand(regs[b])
+            elif kind == _TID:
+                regs[a] = thread.tid
+            elif kind == _HALT or kind == _RET:
+                # HALT, or RET from the thread's root function
                 self._thread_exit(core, thread)
-                core.clock += cost
+                core.clock += costs.call if kind == _RET else cost
                 self.total_instrs += 1
-                core.instr_count += 1
                 return
-            frame = thread.frames.pop()
-            result = regs[0]
-            thread.regs = frame.saved_regs
-            thread.regs[frame.result_reg] = result
-            regs = thread.regs
-            thread.sp = frame.saved_sp
-            thread.fp = frame.saved_fp
-            thread.pc = frame.return_pc
-        elif op is Op.ENTER:
-            thread.sp -= 1
-            self.memory.write(thread.sp, thread.fp)
-            thread.fp = thread.sp
-            thread.sp -= instr.a
-            if thread.sp < Memory.stack_limit(thread.tid):
-                raise StackOverflow("thread %d stack overflow" % thread.tid)
-        elif op is Op.STPARAM:
-            self.memory.write(thread.fp - 1 - instr.a, regs[instr.b])
-            cost = costs.mem_instr
-        elif op is Op.CPY:
-            value = self.memory.read(regs[instr.b])
-            self.memory.write(regs[instr.a], value)
-            cost = costs.mem_instr * 2
-        elif op is Op.SPAWN:
-            self._spawn(thread, instr.a, instr.b)
-            cost = costs.spawn
-            self.kernel_entry(core, thread)
-        elif op is Op.JOIN:
-            cost = costs.syscall
-            self.kernel_entry(core, thread)
-            if thread.live_children > 0:
-                self.block_current(core, ThreadState.BLOCKED_JOIN)
-                blocked = True
-        elif op is Op.LOCK:
-            addr = regs[instr.a]
-            if self.memory.read(addr) == 0:
-                self.memory.write(addr, thread.tid + 1)
-                cost = costs.lock_uncontended
             else:
-                cost = costs.lock_kernel
-                self.kernel_entry(core, thread)
-                self.lock_waiters.setdefault(addr, deque()).append(thread.tid)
-                self.block_current(core, ThreadState.BLOCKED_LOCK,
-                                   retry_instr=True)
-                blocked = True
-                # the acquire will re-execute; deliver its trap then, when
-                # the after-pc is meaningful
-                retried = True
-        elif op is Op.UNLOCK:
-            addr = regs[instr.a]
-            self.memory.write(addr, 0)
-            waiters = self.lock_waiters.get(addr)
-            if waiters:
-                cost = costs.lock_kernel
-                self.kernel_entry(core, thread)
-                while waiters:
-                    tid = waiters.popleft()
-                    if self.wake_thread(tid):
-                        break
-            else:
-                cost = costs.lock_uncontended
-        elif op is Op.CAS:
-            addr = regs[instr.b]
-            old = self.memory.read(addr)
-            if old == regs[instr.c]:
-                self.memory.write(addr, regs[instr.d])
-                regs[instr.a] = 1
-            else:
-                regs[instr.a] = 0
-            cost = costs.lock_uncontended
-        elif op is Op.AADD:
-            addr = regs[instr.b]
-            old = self.memory.read(addr)
-            self.memory.write(addr, old + regs[instr.c])
-            regs[instr.a] = old
-            cost = costs.lock_uncontended
-        elif op is Op.SLEEP:
-            ns = max(0, regs[instr.a])
-            cost = costs.syscall
-            self.kernel_entry(core, thread)
-            self.block_current(core, ThreadState.SLEEPING,
-                               wake_time=core.clock + cost + ns)
-            blocked = True
-        elif op is Op.YIELD:
-            cost = costs.syscall
-            self.kernel_entry(core, thread)
-            thread.state = ThreadState.RUNNABLE
-            self.run_queue.append(thread.tid)
-            core.thread = None
-            blocked = True
-        elif op is Op.OUT:
-            self.output.append(regs[instr.a])
-        elif op is Op.ALLOC:
-            regs[instr.a] = self.memory.alloc(regs[instr.b])
-            cost = costs.call
-        elif op is Op.RAND:
-            regs[instr.a] = thread.next_rand(regs[instr.b])
-        elif op is Op.TID:
-            regs[instr.a] = thread.tid
-        elif op is Op.BEGINAT:
-            cost = self.runtime.on_begin_atomic(core, thread, instr.a,
-                                                regs[instr.b])
-        elif op is Op.ENDAT:
-            cost = self.runtime.on_end_atomic(core, thread, instr.a,
-                                              instr.b == 1)
-        elif op is Op.CLEARAR:
-            cost = self.runtime.on_clear_ar(core, thread)
-        elif op is Op.SHADOWST:
-            cost = self.runtime.on_shadow_store(core, thread, instr.a,
-                                                regs[instr.b])
-        elif op is Op.HALT:
-            self._thread_exit(core, thread)
-            core.clock += cost
+                raise MachineError("unimplemented op %s" % self.instrs[pc].op)
             self.total_instrs += 1
-            core.instr_count += 1
-            return
+            if core.clock >= core.next_tick:
+                cost += self._timer_tick(core, thread)
+            core.clock += cost
         else:
-            raise MachineError("unimplemented op %s" % op)
+            memory = self.memory
+            if kind == _LD:
+                accesses = ((regs[b], False),)
+            elif kind == _ST or kind == _UNLOCK:
+                accesses = ((regs[a], True),)
+            elif kind == _STPARAM:
+                accesses = ((thread.fp - 1 - a, True),)
+            elif kind == _CPY:
+                accesses = ((regs[b], False), (regs[a], True))
+            elif kind == _LOCK:  # writes only if the lock is free
+                addr = regs[a]
+                accesses = (((addr, False), (addr, True))
+                            if memory.read(addr) == 0 else ((addr, False),))
+            elif kind == _CAS:  # writes only if the compare succeeds
+                addr = regs[b]
+                accesses = (((addr, False), (addr, True))
+                            if memory.read(addr) == regs[c] else ((addr, False),))
+            elif kind == _AADD:
+                addr = regs[b]
+                accesses = ((addr, False), (addr, True))
+            else:  # _CALLIND
+                accesses = ((regs[a], False),)
 
-        self.total_instrs += 1
-        core.instr_count += 1
-        thread.instr_count += 1
+            trap_before = self.trap_before
+            if trap_before and self._trap_before(core, thread, pc, accesses):
+                return
 
-        # ---- periodic timer interrupt: a kernel entry on this core (the
-        # opportunistic watchpoint-sync point interrupts provide) ----------
-        if core.clock >= core.next_tick:
-            tick = self.costs.timer_tick
-            if self.faults is not None and self.faults.fires(
-                    "machine.timer.jitter", core.clock, core=core.index):
-                tick += self.faults.param("machine.timer.jitter", "jitter_ns",
-                                          4 * tick)
-            core.next_tick = core.clock + tick
-            cost += self.costs.timer_tick_cost
-            self.runtime.on_kernel_entry(core, thread)
-
-        # ---- per-access baseline hook --------------------------------------
-        if accesses is not None and self.runtime.wants_all_accesses:
-            for addr, is_write in accesses:
-                cost += self.runtime.on_memory_access(core, thread, addr,
-                                                      is_write)
-
-        core.clock += cost
-
-        # ---- trap-after watchpoint delivery (x86) ---------------------------
-        if accesses is not None and not self.trap_before and not retried:
-            hits = self._check_watchpoints(core, thread, accesses)
-            if hits:
-                faults = self.faults
-                if faults is not None and faults.fires(
-                        "machine.trap.drop", core.clock,
-                        tid=thread.tid, pc=thread.pc):
-                    # trap lost in delivery: the access stays committed
-                    # and the kernel never hears about it
-                    pass
+            thread.pc = pc + 1
+            retried = False
+            if kind == _LD:
+                regs[a] = memory.read(regs[b])
+                cost = costs.mem_instr
+            elif kind == _ST:
+                memory.write(regs[a], regs[b])
+                cost = costs.mem_instr
+            elif kind == _STPARAM:
+                memory.write(thread.fp - 1 - a, regs[b])
+                cost = costs.mem_instr
+            elif kind == _CPY:
+                memory.write(regs[a], memory.read(regs[b]))
+                cost = costs.mem_instr * 2
+            elif kind == _LOCK:
+                addr = regs[a]
+                if memory.read(addr) == 0:
+                    memory.write(addr, thread.tid + 1)
+                    cost = costs.lock_uncontended
                 else:
-                    after_pc = thread.pc
-                    core.clock += self.costs.trap
-                    trap_cost = self.runtime.on_watchpoint_trap(
-                        core, thread, after_pc, hits, accesses
+                    cost = costs.lock_kernel
+                    self.kernel_entry(core, thread)
+                    self.lock_waiters.setdefault(addr, deque()).append(thread.tid)
+                    self.block_current(core, _BLOCKED_LOCK, retry_instr=True)
+                    # the acquire will re-execute; deliver its trap then,
+                    # when the after-pc is meaningful
+                    retried = True
+            elif kind == _UNLOCK:
+                addr = regs[a]
+                memory.write(addr, 0)
+                waiters = self.lock_waiters.get(addr)
+                if waiters:
+                    cost = costs.lock_kernel
+                    self.kernel_entry(core, thread)
+                    while waiters:
+                        if self.wake_thread(waiters.popleft()):
+                            break
+                else:
+                    cost = costs.lock_uncontended
+            elif kind == _CAS:
+                addr = regs[b]
+                if memory.read(addr) == regs[c]:
+                    memory.write(addr, regs[d])
+                    regs[a] = 1
+                else:
+                    regs[a] = 0
+                cost = costs.lock_uncontended
+            elif kind == _AADD:
+                addr = regs[b]
+                old = memory.read(addr)
+                memory.write(addr, old + regs[c])
+                regs[a] = old
+                cost = costs.lock_uncontended
+            else:  # _CALLIND
+                fidx = memory.read(regs[a])
+                if not (0 <= fidx < len(self.program.func_by_index)):
+                    raise MachineError(
+                        "indirect call to bad function index %d at %s"
+                        % (fidx, self.program.location(pc))
                     )
-                    core.clock += trap_cost
-                    if (faults is not None
-                            and faults.fires("machine.trap.duplicate",
-                                             core.clock, tid=thread.tid,
-                                             pc=after_pc)):
-                        # spurious second delivery of the same trap; the
-                        # kernel must dedup it
-                        core.clock += self.costs.trap
-                        core.clock += self.runtime.on_watchpoint_trap(
-                            core, thread, after_pc, hits, accesses
-                        )
+                self._do_call(thread, fidx, 0, 0, pc + 1)
+                cost = costs.call + costs.mem_instr
 
-        # ---- annotation handlers may have blocked the thread ---------------
-        if thread.state != ThreadState.RUNNING and not blocked:
+            self.total_instrs += 1
+            if core.clock >= core.next_tick:
+                cost += self._timer_tick(core, thread)
+            runtime = self.runtime
+            if runtime.wants_all_accesses:
+                # per-access baseline hook
+                for addr, is_write in accesses:
+                    cost += runtime.on_memory_access(core, thread, addr,
+                                                     is_write)
+            core.clock += cost
+            if not trap_before and not retried:
+                dr = core.dr
+                if dr.armed:
+                    hits = dr.match(accesses, thread.tid, self.profiler)
+                    if hits:
+                        self._trap_after(core, thread, hits, accesses)
+                elif self.profiler is not None:
+                    self.profiler.note_wp_check(len(accesses), 0)
+
+        if thread.state is not _RUNNING:
+            # an annotation or trap handler blocked the thread
             if core.thread is thread:
                 core.thread = None
-
-        # ---- preemption ------------------------------------------------------
-        if (core.thread is thread and thread.state == ThreadState.RUNNING
-                and core.clock >= core.quantum_end and self.run_queue):
-            thread.state = ThreadState.RUNNABLE
+        elif (core.thread is thread and core.clock >= core.quantum_end
+                and self.run_queue):
+            # preemption
+            thread.state = _RUNNABLE
             self.run_queue.append(thread.tid)
             core.thread = None
-            core.clock += self.costs.context_switch
+            core.clock += costs.context_switch
             self.kernel_entry(core, thread)
+
+    def _timer_tick(self, core, thread):
+        """Periodic timer interrupt: a kernel entry on ``core`` (the
+        opportunistic watchpoint-sync point interrupts provide); returns
+        its cost."""
+        tick = self.costs.timer_tick
+        if self.faults is not None and self.faults.fires(
+                "machine.timer.jitter", core.clock, core=core.index):
+            tick += self.faults.param("machine.timer.jitter", "jitter_ns",
+                                      4 * tick)
+        core.next_tick = core.clock + tick
+        self.runtime.on_kernel_entry(core, thread)
+        return self.costs.timer_tick_cost
+
+    def _trap_before(self, core, thread, pc, accesses):
+        """Trap-before (SPARC-style) delivery, before the access commits.
+        Returns True if the handler suspended the thread: the access
+        never happened and the instruction re-executes on wake-up."""
+        hits = core.dr.match(accesses, thread.tid, self.profiler)
+        if hits and self.faults is not None and self.faults.fires(
+                "machine.trap.drop", core.clock, tid=thread.tid, pc=pc):
+            hits = ()
+        if not hits:
+            return False
+        cost = self.costs.instr + self.costs.trap
+        cost += self.runtime.on_watchpoint_trap(core, thread, None, hits,
+                                                accesses)
+        core.clock += cost
+        if thread.state is _RUNNING:
+            return False  # the instruction commits normally
+        core.thread = None
+        return True
+
+    def _trap_after(self, core, thread, hits, accesses):
+        """Trap-after (x86) delivery: the access has committed and the
+        handler gets only the after-pc and the hit slots."""
+        faults = self.faults
+        after_pc = thread.pc
+        if faults is not None and faults.fires(
+                "machine.trap.drop", core.clock, tid=thread.tid, pc=after_pc):
+            # trap lost in delivery: the access stays committed and the
+            # kernel never hears about it
+            return
+        core.clock += self.costs.trap
+        trap_cost = self.runtime.on_watchpoint_trap(core, thread, after_pc,
+                                                    hits, accesses)
+        core.clock += trap_cost
+        if faults is not None and faults.fires(
+                "machine.trap.duplicate", core.clock, tid=thread.tid,
+                pc=after_pc):
+            # spurious second delivery of the same trap; the kernel must
+            # dedup it
+            core.clock += self.costs.trap
+            core.clock += self.runtime.on_watchpoint_trap(
+                core, thread, after_pc, hits, accesses)
 
     def _do_call(self, thread, func_index, nargs, result_reg, return_pc):
         image = self.program.func_by_index[func_index]
@@ -801,24 +809,3 @@ class Machine:
         thread.sp -= 1
         self.memory.write(thread.sp, return_pc)
         thread.pc = image.entry
-
-    def _check_watchpoints(self, core, thread, accesses):
-        dr = core.dr
-        slots = dr.slots
-        hits = None
-        tid = thread.tid
-        for addr, is_write in accesses:
-            for slot in slots:
-                if slot.enabled and slot.matches(addr, is_write, tid):
-                    if hits is None:
-                        hits = []
-                    if slot.index not in hits:
-                        hits.append(slot.index)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.wp_checks += 1
-            profiler.wp_accesses += len(accesses)
-            if hits:
-                profiler.wp_hit_checks += 1
-                profiler.wp_hit_slots += len(hits)
-        return hits or ()

@@ -20,16 +20,14 @@ class Memory:
         self.heap_next = HEAP_BASE
         self.limit = STACK_BASE + (1 << 22)
 
-    def _check(self, addr):
+    def read(self, addr):
         if addr < GLOBALS_BASE or addr >= self.limit:
             raise MemoryFault(addr)
-
-    def read(self, addr):
-        self._check(addr)
         return self.words.get(addr, 0)
 
     def write(self, addr, value):
-        self._check(addr)
+        if addr < GLOBALS_BASE or addr >= self.limit:
+            raise MemoryFault(addr)
         self.words[addr] = value
 
     def alloc(self, nwords):

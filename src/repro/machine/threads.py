@@ -48,7 +48,6 @@ class Thread:
         "suspend_info",
         "core_affinity",
         "last_core",
-        "instr_count",
     )
 
     def __init__(self, tid, entry_pc, parent=None, seed=0):
@@ -76,7 +75,6 @@ class Thread:
         self.suspend_info = None
         self.core_affinity = None
         self.last_core = None
-        self.instr_count = 0
 
     @property
     def call_depth(self):

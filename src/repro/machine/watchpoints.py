@@ -31,9 +31,9 @@ class WatchpointSlot:
     """Hardware view of one debug register pair (address + control bits)."""
 
     __slots__ = ("index", "enabled", "addr", "size", "watch_read",
-                 "watch_write", "suppressed_tids")
+                 "watch_write", "suppressed_tids", "owner")
 
-    def __init__(self, index):
+    def __init__(self, index, owner=None):
         self.index = index
         self.enabled = False
         self.addr = 0
@@ -45,6 +45,7 @@ class WatchpointSlot:
         # thread that owns the AR is running; modelled as a per-slot set
         # consulted at match time instead of per-context-switch rewrites).
         self.suppressed_tids = None
+        self.owner = owner  # DebugRegisterFile to notify of changes, or None
 
     def configure(self, addr, size, watch_read, watch_write, suppressed_tids=None):
         self.enabled = True
@@ -53,49 +54,59 @@ class WatchpointSlot:
         self.watch_read = watch_read
         self.watch_write = watch_write
         self.suppressed_tids = suppressed_tids
+        if self.owner is not None:
+            self.owner.rebuild_armed()
 
     def disable(self):
         self.enabled = False
         self.suppressed_tids = None
+        if self.owner is not None:
+            self.owner.rebuild_armed()
 
     def matches(self, addr, is_write, tid):
-        if not self.enabled:
-            return False
-        if not (self.addr <= addr < self.addr + self.size):
-            return False
-        if is_write and not self.watch_write:
-            return False
-        if not is_write and not self.watch_read:
-            return False
-        if self.suppressed_tids is not None and tid in self.suppressed_tids:
-            return False
-        return True
+        return (self.enabled and self.addr <= addr < self.addr + self.size
+                and (self.watch_write if is_write else self.watch_read)
+                and (self.suppressed_tids is None
+                     or tid not in self.suppressed_tids))
 
 
 class DebugRegisterFile:
-    """One core's set of watchpoint slots."""
+    """One core's set of watchpoint slots.  ``armed``, the enabled ones,
+    is rebuilt whenever a slot changes (``adopt``, ``configure``,
+    ``disable``), so the machine's miss path is one truthiness test."""
 
-    __slots__ = ("slots", "synced_epoch")
+    __slots__ = ("slots", "synced_epoch", "armed")
 
     def __init__(self, num_slots=X86_NUM_WATCHPOINTS):
-        self.slots = [WatchpointSlot(i) for i in range(num_slots)]
+        self.slots = [WatchpointSlot(i, self) for i in range(num_slots)]
         self.synced_epoch = 0
+        self.armed = ()
 
     def __len__(self):
         return len(self.slots)
 
+    def rebuild_armed(self):
+        self.armed = tuple(slot for slot in self.slots if slot.enabled)
+
     def any_enabled(self):
-        for slot in self.slots:
-            if slot.enabled:
-                return True
-        return False
+        return bool(self.armed)
 
     def check(self, addr, is_write, tid):
-        """Return indices of slots hit by an access (the DR6 status bits)."""
+        """Return indices of slots hit by one access (the DR6 status bits)."""
+        return self.match(((addr, is_write),), tid)
+
+    def match(self, accesses, tid, profiler=None):
+        """Indices of the slots hit by an instruction's ``(addr,
+        is_write)`` accesses, each once, in first-hit order; the check is
+        counted on ``profiler`` (a repro.obs.VMProfiler) when given."""
         hits = []
-        for slot in self.slots:
-            if slot.matches(addr, is_write, tid):
-                hits.append(slot.index)
+        for addr, is_write in accesses:
+            for slot in self.armed:
+                if slot.matches(addr, is_write, tid) \
+                        and slot.index not in hits:
+                    hits.append(slot.index)
+        if profiler is not None:
+            profiler.note_wp_check(len(accesses), len(hits))
         return hits
 
     def adopt(self, logical_slots, epoch, faults=None):
@@ -119,6 +130,7 @@ class DebugRegisterFile:
             mine.watch_read = theirs.watch_read
             mine.watch_write = theirs.watch_write
             mine.suppressed_tids = theirs.suppressed_tids
+        self.rebuild_armed()
         self.synced_epoch = epoch
 
     def consistent_with(self, logical_slots):

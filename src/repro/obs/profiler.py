@@ -5,8 +5,9 @@ host speed, this profiler counts discrete, fully deterministic events:
 
 - per-opcode dispatch counts in ``Machine._execute`` — the hot-path
   evidence the dispatch-flattening ROADMAP item needs;
-- watchpoint-membership check rates in ``Machine._check_watchpoints``
-  (calls, accesses probed, calls that hit, slots hit) — the measured
+- watchpoint-membership check rates in ``DebugRegisterFile.match``
+  (calls, accesses probed, calls that hit, slots hit; a watchable
+  instruction's check counts even when no slot is armed) — the measured
   miss rate is what justifies a Bloom-style negative-lookup front line;
 - suspension-queue depth at every kernel ``_suspend`` (distribution +
   peak), the kernel-side congestion signal.
@@ -63,7 +64,7 @@ class VMProfiler:
         self._instr_op_names = None  # list, opcode name per pc
         self.wall_time = wall_time
         self._last_op = None
-        self.wp_checks = 0        # calls to _check_watchpoints
+        self.wp_checks = 0        # watchpoint checks of instructions
         self.wp_accesses = 0      # (addr, is_write) pairs probed
         self.wp_hit_checks = 0    # calls that returned >=1 slot
         self.wp_hit_slots = 0     # total slots hit

@@ -2,6 +2,8 @@
 
 from repro.core.config import KivatiConfig, Mode
 from repro.core.session import ProtectedProgram
+from repro.faults.chaos import CHAOS_SRC
+from repro.faults.chaos import default_config as chaos_config
 from repro.obs import MetricsRegistry, ObsPlane, VMProfiler
 
 
@@ -96,6 +98,21 @@ def test_run_dispatch_counts_match_instr_count():
     assert prof.wp_checks > 0
     # every access probe belongs to some check
     assert prof.wp_accesses >= prof.wp_checks
+
+
+def test_watchpoint_check_counts_are_pinned():
+    # every watchable instruction that commits is one check, whether or
+    # not any slot is armed; the chaos program adds hitting checks
+    obs = ObsPlane()
+    ProtectedProgram(SRC).run(KivatiConfig(obs=obs))
+    prof = obs.profiler
+    assert (prof.wp_checks, prof.wp_accesses, prof.wp_hit_checks,
+            prof.wp_hit_slots) == (63, 63, 0, 0)
+    obs = ObsPlane()
+    ProtectedProgram(CHAOS_SRC).run(chaos_config(seed=2, obs=obs))
+    prof = obs.profiler
+    assert (prof.wp_checks, prof.wp_accesses, prof.wp_hit_checks,
+            prof.wp_hit_slots) == (164, 164, 24, 24)
 
 
 def test_runs_are_deterministic_across_repeats():
