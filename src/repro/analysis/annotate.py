@@ -37,11 +37,11 @@ class AnnotationResult:
 
     __slots__ = ("ast", "pinfo", "ar_table", "lsvs", "sync_ar_ids",
                  "ar_ids_by_func", "locks", "guards", "prune",
-                 "footprints", "func_footprints", "conflicts")
+                 "footprints", "func_footprints", "_conflicts")
 
     def __init__(self, ast_, pinfo, ar_table, lsvs, sync_ar_ids,
                  ar_ids_by_func, locks=None, guards=None, prune=None,
-                 footprints=None, func_footprints=None, conflicts=None):
+                 footprints=None, func_footprints=None):
         self.ast = ast_
         self.pinfo = pinfo
         self.ar_table = ar_table          # ar_id -> ARInfo
@@ -53,7 +53,22 @@ class AnnotationResult:
         self.prune = prune                # prune.PruneResult
         self.footprints = footprints or {}        # ar_id -> Footprint
         self.func_footprints = func_footprints or {}  # name -> Footprint
-        self.conflicts = conflicts        # conflict.ConflictGraph
+        self._conflicts = None
+
+    @property
+    def conflicts(self):
+        """The inter-AR :class:`~repro.analysis.conflict.ConflictGraph`.
+
+        Built on first read: it is O(ARs²), and only lint, the
+        diagnostics and fleet binning read it, never a run.
+        """
+        if self._conflicts is None:
+            from repro.analysis.conflict import build_conflict_graph
+
+            self._conflicts = build_conflict_graph(
+                self.ar_table, self.footprints,
+                sync_names=self.guards.sync_names)
+        return self._conflicts
 
     @property
     def num_ars(self):
@@ -204,9 +219,11 @@ def annotate(source_or_ast, emit_shadow_stores=True,
              interprocedural=False, pointer_analysis=False):
     """Run the full static annotator.
 
-    Accepts mini-C source text or a parsed Program AST. Returns an
-    :class:`AnnotationResult` whose ``ast`` can be fed to
-    :func:`repro.compiler.compile_program` together with ``ar_table``.
+    Accepts mini-C source text or a parsed Program AST, which is
+    normalized (a no-op on an already normalized one) and rewritten in
+    place. Returns an :class:`AnnotationResult` whose ``ast`` can be fed
+    to :func:`repro.compiler.compile_program` together with ``pinfo``
+    and ``ar_table``.
 
     ``interprocedural=True`` enables the Section 3.5 extension: call
     statements contribute their callee's transitive global accesses, so
@@ -282,18 +299,18 @@ def annotate(source_or_ast, emit_shadow_stores=True,
                           points_to=points_to, extra_sync_vars=flag_vars)
     prune_result = classify_ars(ar_table, guards, lock_analysis)
 
-    # ---- per-AR footprints and the inter-AR conflict graph ---------------
-    # (on the pristine bodies/CFGs: the span uids predate the rewrite)
-    from repro.analysis.conflict import build_conflict_graph
-    from repro.analysis.footprint import (compute_ar_footprints,
+    # ---- per-AR and per-function footprints ------------------------------
+    # (on the pristine bodies/CFGs: the span uids predate the rewrite; the
+    # conflict graph over them is built when first read)
+    from repro.analysis.footprint import (address_escapes,
+                                          compute_ar_footprints,
                                           compute_function_footprints)
 
-    func_footprints = compute_function_footprints(program, pinfo, points_to)
-    footprints = compute_ar_footprints(program, pinfo, ar_table, cfgs,
-                                       points_to,
-                                       func_footprints=func_footprints)
-    conflicts = build_conflict_graph(ar_table, footprints,
-                                     sync_names=guards.sync_names)
+    addr_escapes = address_escapes(program)
+    func_footprints = compute_function_footprints(program, pinfo, points_to,
+                                                  addr_escapes)
+    footprints = compute_ar_footprints(pinfo, ar_table, cfgs, points_to,
+                                       func_footprints, addr_escapes)
 
     # ---- phase 2: rewrite bodies with the annotation statements ----------
     for func in program.funcs:
@@ -322,11 +339,10 @@ def annotate(source_or_ast, emit_shadow_stores=True,
         func.body = _insert_annotations(func.body, begins, ends, shadows)
         func.body = _insert_clear_ars(func.body)
 
-    # re-check so callers get an up-to-date ProgramInfo for codegen
-    pinfo = check(program)
+    # the annotation statements declare nothing, so ``pinfo`` (locals,
+    # frame sizes) still describes the rewritten program for codegen
     return AnnotationResult(program, pinfo, ar_table, lsvs,
                             frozenset(sync_ar_ids), ar_ids_by_func,
                             locks=lock_analysis, guards=guards,
                             prune=prune_result, footprints=footprints,
-                            func_footprints=func_footprints,
-                            conflicts=conflicts)
+                            func_footprints=func_footprints)

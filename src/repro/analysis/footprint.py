@@ -309,47 +309,42 @@ class _Collector:
 #: AddrOf: RHS of Var-assign/Decl, call/spawn arguments. An AddrOf
 #: anywhere else (stored through memory, inside arithmetic) escapes the
 #: model, so derefs can no longer be trusted to the points-to sets.
-def _address_escapes(program):
-    modeled = set()
+def address_escapes(program):
+    """True if any AddrOf in ``program`` sits outside the modeled
+    positions.  One walk per function body."""
+    modeled = set()   # ids of expressions in modeled positions
+    addr_ofs = []
     for func in program.funcs:
-        for stmt in ast.statements(func.body):
-            exprs = []
-            if isinstance(stmt, ast.Assign) and isinstance(stmt.target,
-                                                           ast.Var):
-                exprs.append(stmt.value)
-            elif isinstance(stmt, ast.Decl) and stmt.init is not None:
-                exprs.append(stmt.init)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    if node.name in SYNC_BUILTINS or node.name in (
-                            "copyword", "invoke"):
-                        # the collector resolves AddrOf in these
-                        # positions itself, without the points-to sets
-                        exprs.extend(node.args)
-                    elif not is_builtin(node.name):
-                        exprs.extend(node.args)
-                elif isinstance(node, ast.Spawn):
-                    exprs.extend(node.args)
-            for expr in exprs:
-                if isinstance(expr, ast.AddrOf):
-                    modeled.add(id(expr))
-    for func in program.funcs:
-        for stmt in ast.statements(func.body):
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.AddrOf) and id(node) not in modeled:
-                    return True
-    return False
+        for node in ast.walk(func.body):
+            if isinstance(node, ast.AddrOf):
+                addr_ofs.append(node)
+            elif isinstance(node, ast.Assign):
+                if isinstance(node.target, ast.Var):
+                    modeled.add(id(node.value))
+            elif isinstance(node, ast.Decl):
+                if node.init is not None:
+                    modeled.add(id(node.init))
+            elif isinstance(node, ast.Call):
+                # the collector resolves AddrOf in sync-builtin, copyword
+                # and invoke arguments itself, without the points-to sets
+                if (node.name in SYNC_BUILTINS
+                        or node.name in ("copyword", "invoke")
+                        or not is_builtin(node.name)):
+                    modeled.update(id(arg) for arg in node.args)
+            elif isinstance(node, ast.Spawn):
+                modeled.update(id(arg) for arg in node.args)
+    return any(id(node) not in modeled for node in addr_ofs)
 
 
-def compute_function_footprints(program, pinfo, points_to):
+def compute_function_footprints(program, pinfo, points_to, addr_escapes):
     """Transitive per-function footprints over the pristine bodies.
 
-    Returns ``{func_name: Footprint}``.  The fixpoint folds callee
-    footprints into callers until stable; recursion converges because
-    footprints only grow and the domain is finite.
+    ``addr_escapes`` is :func:`address_escapes` of ``program``.  Returns
+    ``{func_name: Footprint}``.  The fixpoint folds callee footprints
+    into callers until stable; recursion converges because footprints
+    only grow and the domain is finite.
     """
     global_names = set(pinfo.global_sizes)
-    addr_escapes = _address_escapes(program)
 
     direct = {}
     call_edges = {}
@@ -387,22 +382,21 @@ def compute_function_footprints(program, pinfo, points_to):
     return result
 
 
-def compute_ar_footprints(program, pinfo, ar_table, cfgs, points_to,
-                          func_footprints=None):
+def compute_ar_footprints(pinfo, ar_table, cfgs, points_to,
+                          func_footprints, addr_escapes):
     """Per-AR span footprints.
 
     ``cfgs`` maps function name to the *pristine* (pre-annotation) CFG —
     the same objects the pairing DFA ran on, so ``begin_uid`` /
-    ``second_kinds`` uids resolve.  Returns ``{ar_id: Footprint}``.
+    ``second_kinds`` uids resolve; ``func_footprints`` and
+    ``addr_escapes`` are what :func:`compute_function_footprints` and
+    :func:`address_escapes` gave for the same program.  Returns
+    ``{ar_id: Footprint}``.
 
     An AR whose span cannot be reconstructed (begin or end statement
     missing from the CFG) is conservatively wild.
     """
     global_names = set(pinfo.global_sizes)
-    addr_escapes = _address_escapes(program)
-    if func_footprints is None:
-        func_footprints = compute_function_footprints(program, pinfo,
-                                                      points_to)
 
     uid_maps = {}
     footprints = {}
@@ -444,5 +438,5 @@ def compute_ar_footprints(program, pinfo, ar_table, cfgs, points_to,
     return footprints
 
 
-__all__ = ["Footprint", "WILD", "compute_ar_footprints",
+__all__ = ["Footprint", "WILD", "address_escapes", "compute_ar_footprints",
            "compute_function_footprints"]

@@ -24,7 +24,6 @@ any guarded-by intersection is discarded), because it could touch any
 word without holding anything.
 """
 
-from repro.minic import ast
 from repro.minic.ast import AccessKind
 from repro.analysis.lockmodel import token_base
 
@@ -119,18 +118,6 @@ class GuardReport:
             yield self.locals_[key]
 
 
-def _addr_taken_names(func):
-    taken = set()
-    for stmt in ast.statements(func.body):
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.AddrOf):
-                if isinstance(node.operand, ast.Var):
-                    taken.add(node.operand.name)
-                elif isinstance(node.operand, ast.Index):
-                    taken.add(node.operand.base.name)
-    return taken
-
-
 def infer_guards(program, pinfo, lock_analysis, func_data, points_to=None,
                  extra_sync_vars=()):
     """Classify every accessed shared variable.
@@ -202,7 +189,8 @@ def infer_guards(program, pinfo, lock_analysis, func_data, points_to=None,
     has_wild_write = bool(wild_writes)
     has_wild_read = bool(wild_reads)
 
-    addr_taken = {f.name: _addr_taken_names(f) for f in program.funcs}
+    addr_taken = {name: lsv.addr_taken
+                  for name, (lsv, _) in func_data.items()}
 
     globals_ = {}
     locals_ = {}

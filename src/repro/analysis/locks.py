@@ -341,13 +341,12 @@ def compute_lock_analysis(program, pinfo, cfgs=None):
                 elif ev.kind == "call":
                     referenced.add(ev.name)
         # funcref-taken functions can be invoked with anything held
-        for stmt in ast.statements(func.body):
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and node.name == "funcref":
-                    arg = node.args[0] if node.args else None
-                    if isinstance(arg, ast.Var):
-                        roots.add(arg.name)
-                        referenced.add(arg.name)
+        for node in ast.walk(func.body):
+            if isinstance(node, ast.Call) and node.name == "funcref":
+                arg = node.args[0] if node.args else None
+                if isinstance(arg, ast.Var):
+                    roots.add(arg.name)
+                    referenced.add(arg.name)
     universe = frozenset(universe)
 
     # ---- summaries: syntactic parts first (release effects, blocking) ----

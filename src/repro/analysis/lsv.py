@@ -27,14 +27,15 @@ from repro.analysis.normalize import TEMP_PREFIX
 
 
 class LSVResult:
-    """LSV of one function."""
+    """LSV of one function, plus the names whose address it takes."""
 
-    __slots__ = ("func_name", "shared", "sync_vars")
+    __slots__ = ("func_name", "shared", "sync_vars", "addr_taken")
 
-    def __init__(self, func_name, shared, sync_vars):
+    def __init__(self, func_name, shared, sync_vars, addr_taken):
         self.func_name = func_name
         self.shared = frozenset(shared)
         self.sync_vars = frozenset(sync_vars)
+        self.addr_taken = frozenset(addr_taken)
 
     def __contains__(self, name):
         return name in self.shared
@@ -88,30 +89,33 @@ def compute_lsv(func, pinfo):
 
     assigns = []  # (target_name or None, rhs expr)
     addr_taken = set()
+    deref_names = set()
 
-    for stmt in ast.statements(func.body):
-        if isinstance(stmt, ast.Decl) and stmt.init is not None:
-            assigns.append((stmt.name, stmt.init))
-        elif isinstance(stmt, ast.Assign):
-            if isinstance(stmt.target, ast.Var):
-                assigns.append((stmt.target.name, stmt.value))
+    # the walk is pre-order, so ``assigns`` is in statement order
+    for node in ast.walk(func.body):
+        if isinstance(node, ast.Decl):
+            if node.init is not None:
+                assigns.append((node.name, node.init))
+        elif isinstance(node, ast.Assign):
+            if isinstance(node.target, ast.Var):
+                assigns.append((node.target.name, node.value))
             else:
-                assigns.append((None, stmt.value))
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.AddrOf):
-                if isinstance(node.operand, ast.Var):
-                    addr_taken.add(node.operand.name)
-                elif isinstance(node.operand, ast.Index):
-                    addr_taken.add(node.operand.base.name)
-            elif isinstance(node, ast.Call):
-                if node.name in SYNC_BUILTINS and node.args:
-                    arg = node.args[0]
-                    if isinstance(arg, ast.AddrOf) and isinstance(
-                            arg.operand, ast.Var):
-                        sync_vars.add(arg.operand.name)
-                # call results are conservatively shared
-            elif isinstance(node, ast.Spawn):
-                pass
+                assigns.append((None, node.value))
+        elif isinstance(node, ast.AddrOf):
+            if isinstance(node.operand, ast.Var):
+                addr_taken.add(node.operand.name)
+            elif isinstance(node.operand, ast.Index):
+                addr_taken.add(node.operand.base.name)
+        elif isinstance(node, ast.Deref):
+            if isinstance(node.operand, ast.Var):
+                deref_names.add(node.operand.name)
+        elif isinstance(node, ast.Call):
+            # call results are conservatively shared
+            if node.name in SYNC_BUILTINS and node.args:
+                arg = node.args[0]
+                if isinstance(arg, ast.AddrOf) and isinstance(
+                        arg.operand, ast.Var):
+                    sync_vars.add(arg.operand.name)
 
     # seed: address-taken locals escape
     shared.update(addr_taken)
@@ -139,11 +143,6 @@ def compute_lsv(func, pinfo):
                 changed = True
 
     # add deref pseudo-vars for shared pointers that are dereferenced
-    deref_names = set()
-    for stmt in ast.statements(func.body):
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Deref) and isinstance(node.operand, ast.Var):
-                deref_names.add(node.operand.name)
     for name in deref_names:
         if name in shared:
             shared.add("*" + name)
@@ -151,4 +150,4 @@ def compute_lsv(func, pinfo):
     # drop annotator temps
     shared = {n for n in shared if not n.lstrip("*").startswith(TEMP_PREFIX)}
 
-    return LSVResult(func.name, shared, sync_vars)
+    return LSVResult(func.name, shared, sync_vars, addr_taken)

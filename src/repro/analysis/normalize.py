@@ -17,6 +17,12 @@ immediately before/after the statement containing an access:
 
 Temporaries ``__cN`` are compiler-generated, never address-taken and never
 escape, so the LSV pass excludes them by name prefix.
+
+Normalization is idempotent: a condition that already is a temporary
+(``__cN``, or ``!__cN`` in a loop guard) reads no memory the annotator
+watches, so it counts as trivial and is not hoisted again.  Normalizing
+a normalized program yields the same statements and compiles to the
+same instructions.
 """
 
 import itertools
@@ -32,10 +38,17 @@ def _fresh_temp():
     return "%s%d" % (TEMP_PREFIX, next(_temp_counter))
 
 
+def _is_temp(name):
+    return name.startswith(TEMP_PREFIX) and name[len(TEMP_PREFIX):].isdigit()
+
+
 def _is_trivial(expr):
-    """Conditions that contain no memory access need no hoisting."""
+    """Conditions that contain no memory access (or only read a
+    temporary) need no hoisting."""
     if isinstance(expr, ast.IntLit):
         return True
+    if isinstance(expr, ast.Var):
+        return _is_temp(expr.name)
     if isinstance(expr, ast.Unary):
         return _is_trivial(expr.operand)
     return False

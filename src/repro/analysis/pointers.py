@@ -97,39 +97,32 @@ def compute_points_to(program, pinfo):
             heap_counter[0] += 1
             pts(dst).add("heap@%d" % heap_counter[0])
 
-    # collect base facts + call-site parameter bindings
+    def bind_args(func, callee, args):
+        try:
+            params = program.func(callee).params
+        except KeyError:
+            return
+        for (pname, _), arg in zip(params, args):
+            dst = _qualify(callee, pname, globals_)
+            if isinstance(arg, ast.AddrOf):
+                add_addr(func, arg.operand, dst)
+            elif isinstance(arg, ast.Var):
+                copies.append((dst, _qualify(func, arg.name, globals_)))
+
+    # collect base facts + call-site parameter bindings; the walk is
+    # pre-order, so allocation sites are numbered in statement order
     for func in program.funcs:
-        for stmt in ast.statements(func.body):
-            if isinstance(stmt, ast.Assign):
-                handle_assign(func.name, stmt.target, stmt.value)
-            elif isinstance(stmt, ast.Decl) and stmt.init is not None:
-                handle_assign(func.name, ast.Var(stmt.name), stmt.init)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and not is_builtin(node.name):
-                    callee = node.name
-                    try:
-                        params = program.func(callee).params
-                    except KeyError:
-                        continue
-                    for (pname, _), arg in zip(params, node.args):
-                        dst = _qualify(callee, pname, globals_)
-                        if isinstance(arg, ast.AddrOf):
-                            add_addr(func.name, arg.operand, dst)
-                        elif isinstance(arg, ast.Var):
-                            copies.append(
-                                (dst,
-                                 _qualify(func.name, arg.name, globals_)))
-                elif isinstance(node, ast.Spawn):
-                    callee = node.func
-                    params = program.func(callee).params
-                    for (pname, _), arg in zip(params, node.args):
-                        dst = _qualify(callee, pname, globals_)
-                        if isinstance(arg, ast.AddrOf):
-                            add_addr(func.name, arg.operand, dst)
-                        elif isinstance(arg, ast.Var):
-                            copies.append(
-                                (dst,
-                                 _qualify(func.name, arg.name, globals_)))
+        for node in ast.walk(func.body):
+            if isinstance(node, ast.Assign):
+                handle_assign(func.name, node.target, node.value)
+            elif isinstance(node, ast.Decl):
+                if node.init is not None:
+                    handle_assign(func.name, ast.Var(node.name), node.init)
+            elif isinstance(node, ast.Call):
+                if not is_builtin(node.name):
+                    bind_args(func.name, node.name, node.args)
+            elif isinstance(node, ast.Spawn):
+                bind_args(func.name, node.func, node.args)
 
     # propagate copies to fixpoint
     changed = True

@@ -1,4 +1,4 @@
-"""Run orchestration: annotate once, compile once, run under any config."""
+"""Run orchestration: prepare once, run under any config."""
 
 from repro.analysis.annotate import annotate
 from repro.analysis.normalize import normalize_program
@@ -18,23 +18,25 @@ class ProtectedProgram:
 
     Holds both the annotated binary and an annotation-free binary compiled
     from the same normalized source, so overhead measurements compare
-    like-for-like code.
+    like-for-like code.  The source is parsed, normalized and checked
+    once: the vanilla binary is compiled from that AST before
+    :func:`annotate` rewrites it in place.
     """
 
     def __init__(self, source, interprocedural=False,
                  pointer_analysis=False):
         self.source = source
-        self.annotation = annotate(source, interprocedural=interprocedural,
+        program = normalize_program(parse(source))
+        self.vanilla_program = compile_program(program, check(program))
+        self.vanilla_program.source = source
+
+        self.annotation = annotate(program, interprocedural=interprocedural,
                                    pointer_analysis=pointer_analysis)
         self.program = compile_program(
             self.annotation.ast, self.annotation.pinfo,
             self.annotation.ar_table
         )
         self.program.source = source
-
-        vanilla_ast = normalize_program(parse(source))
-        self.vanilla_program = compile_program(vanilla_ast, check(vanilla_ast))
-        self.vanilla_program.source = source
 
     @property
     def ar_table(self):

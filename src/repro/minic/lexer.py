@@ -1,4 +1,6 @@
-"""Hand-written lexer for mini-C."""
+"""Regex lexer for mini-C."""
+
+import re
 
 from repro.errors import LexError
 
@@ -74,71 +76,57 @@ class Token:
         return hash((self.kind, self.value))
 
 
+# One master pattern, tried once per token.  Integer literals and
+# identifiers are ASCII only; any character no alternative takes falls to
+# ``bad`` and is reported where it stands.  ``open`` catches a ``/*``
+# whose ``*/`` never comes.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open>/\*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + r")"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
 def tokenize(source):
     """Tokenize mini-C ``source`` into a list of Tokens ending with eof.
 
     Supports ``//`` line comments and ``/* ... */`` block comments.
     """
     tokens = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def error(msg):
-        raise LexError(msg, line, col)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line_start = 0   # offset of the current line's first character
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
+            continue
+        start = match.start()
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = start + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                error("unterminated block comment")
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            text = source[start:i]
-            tokens.append(Token("int", int(text), line, col))
-            col += len(text)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "kw" if text in KEYWORDS else "id"
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+        text = match.group()
+        col = start - line_start + 1
+        if kind == "op":
+            append(Token("op", text, line, col))
+        elif kind == "name":
+            append(Token("kw" if text in KEYWORDS else "id", text, line, col))
+        elif kind == "int":
+            append(Token("int", int(text), line, col))
+        elif kind == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rfind("\n") + 1
+        elif kind == "open":
+            raise LexError("unterminated block comment", line, col)
         else:
-            error("unexpected character %r" % ch)
-    tokens.append(Token("eof", None, line, col))
+            raise LexError("unexpected character %r" % text, line, col)
+    append(Token("eof", None, line, len(source) - line_start + 1))
     return tokens

@@ -92,3 +92,25 @@ def test_full_statement():
         ("id", "x"), ("op", "="), ("id", "a"), ("op", "["), ("int", 3),
         ("op", "]"), ("op", "*"), ("int", 2), ("op", ";"),
     ]
+
+
+@pytest.mark.parametrize("source, col", [
+    ("int x = ²;", 9),      # superscript two: str.isdigit accepts it
+    ("int x = ٣;", 9),      # Arabic-Indic three: int() reads it as 3
+    ("int é = 1;", 5),      # e-acute: str.isalpha accepts it
+    ("int xé = 1;", 6),     # not even in the middle of a name
+])
+def test_non_ascii_digits_and_letters_raise_lex_error(source, col):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
+def test_ascii_digits_after_non_ascii_line_keep_position():
+    with pytest.raises(LexError) as exc:
+        tokenize("x = 1;\n  y = ²;")
+    assert (exc.value.line, exc.value.col) == (2, 7)
+
+
+def test_eof_position_after_trailing_line_comment():
+    assert tokenize("a // tail")[-1].col == 10
