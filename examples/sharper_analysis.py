@@ -12,7 +12,7 @@ Usage::
 
 from repro.core.config import KivatiConfig, OptLevel
 from repro.core.session import ProtectedProgram
-from repro.core.tracing import Trace
+from repro.journal.recorder import JournalRecorder
 
 # 1. An AR that spans a subroutine: the producer writes x, then calls
 #    consume() which reads it. No single function contains both accesses.
@@ -80,15 +80,15 @@ def show(title, source, **annotator_options):
     print("  simple annotator:  %d ARs, %d violation(s) reported"
           % (simple.num_ars, len(report.violations)))
 
-    trace = Trace()
-    report = sharp.run(config.copy(trace=trace), seed=1)
+    journal = JournalRecorder()
+    report = sharp.run(config.copy(journal=journal), seed=1)
     print("  sharper annotator: %d ARs, %d violation(s) reported"
           % (sharp.num_ars, len(report.violations)))
     for violation in report.violations:
         print("    " + violation.describe())
     if report.violations:
         print("\n  forensic timeline around the violation:")
-        for line in trace.render_violation(
+        for line in journal.render_violation(
                 report.violations.records[0]).splitlines()[1:]:
             print("    " + line)
     print()

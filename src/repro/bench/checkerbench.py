@@ -16,11 +16,11 @@ Gates the four claims of :mod:`repro.journal.checker`:
   boundary and bit-flipped at every frame boundary: zero exceptions, and
   coverage must grow monotonically with the truncation point (partial
   verdicts degrade gracefully, never cliff);
-- **differential** — checker vs replay-based ``reverify`` vs the online
-  detector over the full 11-bug corpus (three seeds each, plus the
-  Table 6 bug-finding seed schedule for the rare bugs until every bug
-  has a verdict) and a fleet of freshly generated fuzz programs: zero
-  disagreements, 11/11 bugs witnessed.
+- **differential** — checker vs the online detector over the full
+  11-bug corpus (three seeds each, plus the Table 6 bug-finding seed
+  schedule for the rare bugs until every bug has a verdict) and a fleet
+  of freshly generated fuzz programs: zero disagreements, 11/11 bugs
+  witnessed.
 
 The artifact (schema ``kivati-checkerbench/v1``) is committed as
 ``BENCH_checker.json``; ``validate`` is the CI gate.  Smoke mode shrinks
@@ -41,11 +41,10 @@ from repro.bench.render import Table
 from repro.bench.scale import corpus_config
 from repro.core.config import Mode
 from repro.core.session import ProtectedProgram
-from repro.journal.checker import check_journal
+from repro.journal.checker import check_events, check_journal
 from repro.journal.events import JournalEvent, encode_event
 from repro.journal.format import SEGMENT_MAGIC, _HEADER, JournalWriter
-from repro.journal.postmortem import reverify
-from repro.journal.replay import record_run, replay_run, verdict_multiset
+from repro.journal.replay import record_run, replay_run
 
 SCHEMA = "kivati-checkerbench/v1"
 
@@ -354,29 +353,18 @@ def corruption_sweep(iters=8, seed=0):
     }
 
 
-# -- differential: checker vs reverify vs online -----------------------------
-
-
-def _three_way(events):
-    """(checker == reverify == online) over one event list."""
-    post = reverify(events)
-    from repro.journal.checker import check_events
-
-    check = check_events(events)
-    online = verdict_multiset(events)
-    return (check.verdicts == post.offline and check.online == online
-            and check.agrees == post.agrees), check, post
+# -- differential: checker vs online -----------------------------------------
 
 
 def corpus_differential(seeds=CORPUS_SEEDS, bug_ids=None, escalate=True,
                         max_attempts=30):
-    """The 11-bug corpus, every seed: three evaluators, one story.
+    """The 11-bug corpus, every seed: checker and online, one story.
 
     The rare bugs (Table 6's '-' rows) do not manifest at arbitrary
     fixed seeds, so bugs still undetected after the fixed-seed pass are
     re-run on the Table 6 bug-finding schedule (seed = attempt * 7919,
     pause 20 ms then 50 ms) until the first verdict — every escalation
-    run still goes through the three-way agreement check.
+    run still goes through the checker/online agreement check.
     """
     from repro.workloads.bugs import BUGS
 
@@ -391,14 +379,14 @@ def corpus_differential(seeds=CORPUS_SEEDS, bug_ids=None, escalate=True,
             program, corpus_config(Mode.BUG_FINDING, pause_ms=pause_ms),
             seed=seed)
         runs += 1
-        ok, check, post = _three_way(recorder.events)
+        check = check_events(recorder.events)
         if check.verdicts:
             detected.add(bug_id)
-        if not ok:
+        if not check.agrees:
             disagreements.append({
                 "bug": bug_id, "seed": seed,
                 "checker": len(check.verdicts),
-                "reverify": len(post.offline),
+                "online": len(check.online),
                 "status": check.status,
             })
 
@@ -430,7 +418,7 @@ def corpus_differential(seeds=CORPUS_SEEDS, bug_ids=None, escalate=True,
 
 
 def fuzz_differential(n_programs, base_seed=0):
-    """Freshly generated programs, one recording each, three evaluators."""
+    """Freshly generated programs, one recording each, checker vs online."""
     from repro.fuzz.campaign import (CampaignSpec, fuzz_config,
                                      generate_programs)
 
@@ -444,14 +432,14 @@ def fuzz_differential(n_programs, base_seed=0):
         _, recorder = record_run(program, fuzz_config(prog.params.threads),
                                  seed=prog.run_seed)
         checked += 1
-        ok, check, post = _three_way(recorder.events)
+        check = check_events(recorder.events)
         if check.verdicts:
             with_verdicts += 1
-        if not ok:
+        if not check.agrees:
             disagreements.append({
                 "program_id": prog.program_id, "run_seed": prog.run_seed,
                 "checker": len(check.verdicts),
-                "reverify": len(post.offline),
+                "online": len(check.online),
                 "status": check.status,
             })
     return {

@@ -7,7 +7,7 @@ the fleet plane and gates on the robustness claims:
   (job results are worker-count independent, so this is a scheduling
   claim, not a luck claim);
 - **no unarchived divergences**: every evaluator disagreement — online
-  vs reverify, report mismatch, replay divergence, conflict-sched
+  vs checker, report mismatch, replay divergence, conflict-sched
   opacity, deadlock, job error — is ddmin-minimized and archived with
   its seed, schedule and journal; nothing is silently dropped;
 - **small repros**: every archived case minimizes to at most

@@ -9,17 +9,18 @@ exhaustive acceptance sweep).  Every crash is followed by a full
 recovery — salvage, state reconstruction, pinned re-execution — so the
 table reports how many crash points resumed, how many frames the torn
 journals salvaged on average, and whether every re-execution stayed
-deterministic and postmortem-clean.
+deterministic and postmortem-clean (the offline checker agrees with
+every online verdict of the clean run).
 """
 
 from repro.bench.render import Table
 from repro.core.config import KivatiConfig, Mode, OptLevel
 from repro.core.session import ProtectedProgram
 from repro.faults.chaos import CHAOS_SRC
+from repro.journal.checker import check_events
 from repro.journal.format import JournalWriter, read_journal
-from repro.journal.postmortem import reverify_report
 from repro.journal.recovery import crash_at_frame, recover
-from repro.journal.replay import record_run
+from repro.journal.replay import record_run, report_verdicts
 
 import os
 import tempfile
@@ -117,11 +118,11 @@ def _run_case(name, source, seed, stride, workdir):
     report, recorder = record_run(program, config, seed=seed)
     case = RecoveryCase(name, seed, len(recorder.events))
 
-    # postmortem agreement on the clean run rides along for free
-    post, matches = reverify_report(recorder, report)
-    if not (post.agrees and matches):
+    # checker agreement on the clean run rides along for free
+    check = check_events(recorder.events)
+    if not (check.agrees and check.verdicts == report_verdicts(report)):
         case.postmortem_clean = False
-        case.problems.append("%s seed=%d: postmortem disagreement on the "
+        case.problems.append("%s seed=%d: checker disagreement on the "
                              "clean run" % (name, seed))
 
     for frame in range(1, case.frames, stride):

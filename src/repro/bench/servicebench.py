@@ -9,10 +9,13 @@ runs it:
   on schedule *regardless of completions* (open loop: a slow service
   cannot slow its own offered load). Reported latency is completion
   minus *intended* arrival, so queueing delay counts.
-- **warm vs cold** — p50 per-request latency through the warm pool
-  versus a cold spawn (fresh interpreter + imports + compile per
-  request, always measured with the ``spawn`` start method — that is
-  what "no serving story" costs). The warm pool must win by >= 5x.
+- **warm vs cold** — per-request latency through the warm pool versus
+  a cold spawn (fresh interpreter + imports + compile per request,
+  always measured with the ``spawn`` start method — that is what "no
+  serving story" costs), measured in ``WARM_COLD_PAIRS`` alternating
+  warm/cold pairs. The speedup is the median of the per-pair cold/warm
+  ratios (host-speed drift hits both halves of a pair alike), and the
+  warm pool must win by >= 5x.
 - **determinism gate (unconditional)** — the 5-app suite submitted
   through the service must be digest-equal to the serial inline
   reference; concurrency and recovery change wall-clock only, never
@@ -30,6 +33,7 @@ runs it:
 import json
 import os
 import random
+import statistics
 import threading
 import time
 
@@ -46,6 +50,9 @@ from repro.service.daemon import KivatiDaemon, ServicePolicy
 
 SCHEMA = "kivati-servicebench/v1"
 DEFAULT_RATES = (4.0, 8.0, 16.0)
+#: alternating warm/cold pairs behind the speedup median: fewer lets
+#: one slow (or fast) spawn decide the warm-pool gate outright
+WARM_COLD_PAIRS = 9
 
 #: Micro request used for the latency swarm: two lock-guarded atomic
 #: regions, enough journal frames for mid-request crash drills, runs in
@@ -190,16 +197,11 @@ def _inline_digests(specs):
 
 
 def generate(workers=2, rates=DEFAULT_RATES, requests_per_rate=30,
-             warm_samples=15, cold_samples=3, scale=0.05, seed=7,
-             start_method="spawn", verify=True, smoke=False):
+             scale=0.05, seed=7, start_method="spawn", verify=True,
+             smoke=False):
     """Run the full benchmark; returns the artifact dict."""
     if smoke:
         requests_per_rate = min(requests_per_rate, 8)
-        warm_samples = min(warm_samples, 6)
-    # never fewer than 3 cold spawns: the cold baseline is a median, and
-    # a median needs 3 samples before a single slow (or fast) fork stops
-    # deciding the warm-pool speedup gate outright
-    cold_samples = max(min(cold_samples, 3) if smoke else cold_samples, 3)
     if len(rates) < 3:
         raise ValueError("need >= 3 arrival rates for the artifact")
     config = bench_config(mode=Mode.PREVENTION)
@@ -220,8 +222,7 @@ def generate(workers=2, rates=DEFAULT_RATES, requests_per_rate=30,
     daemon.start()
     try:
         payload = _generate_against(daemon, socket_path, config, rates,
-                                    requests_per_rate, warm_samples,
-                                    cold_samples, suite_specs, seed)
+                                    requests_per_rate, suite_specs, seed)
     finally:
         daemon.initiate_drain("servicebench done")
         drained = daemon.wait_drained(timeout=60.0)
@@ -239,35 +240,35 @@ def generate(workers=2, rates=DEFAULT_RATES, requests_per_rate=30,
 
 
 def _generate_against(daemon, socket_path, config, rates,
-                      requests_per_rate, warm_samples, cold_samples,
-                      suite_specs, seed):
-    # --- warm vs cold ------------------------------------------------
+                      requests_per_rate, suite_specs, seed):
+    # --- warm vs cold, in alternating pairs ---------------------------
     warm_latencies = []
+    cold_latencies = []
     with ServiceClient(socket_path) as client:
         # one un-timed request absorbs any residual first-touch cost
         client.submit(micro_spec(config, "wc-prime", 1))
-        for i in range(warm_samples):
+        for i in range(WARM_COLD_PAIRS):
             spec = micro_spec(config, "wc-warm-%d" % i, 100 + i)
             started = time.perf_counter()
             response = client.submit(spec)
             assert response["ok"], response
             warm_latencies.append(time.perf_counter() - started)
             # pacing gap: let the verifier retire this sample's
-            # monitoring debt so the next sample measures unloaded
-            # request latency, not contention with our own monitoring
-            # (loaded behavior is the rate sweep's job)
+            # monitoring debt so the cold half measures an unloaded
+            # host, not contention with our own monitoring (loaded
+            # behavior is the rate sweep's job)
             time.sleep(0.08)
-    cold_latencies = measure_cold(
-        [micro_spec(config, "wc-cold-%d" % i, 100 + i).as_dict()
-         for i in range(cold_samples)])
-    warm_p50 = percentile(warm_latencies, 0.5)
-    cold_p50 = percentile(cold_latencies, 0.5)
+            cold_latencies += measure_cold(
+                [micro_spec(config, "wc-cold-%d" % i, 100 + i).as_dict()])
+    ratios = [cold / warm for warm, cold
+              in zip(warm_latencies, cold_latencies)]
     warm_cold = {
         "warm_samples": len(warm_latencies),
         "cold_samples": len(cold_latencies),
-        "warm_p50_ms": round(warm_p50 * 1000, 3),
-        "cold_p50_ms": round(cold_p50 * 1000, 3),
-        "speedup_p50": round(cold_p50 / warm_p50, 2) if warm_p50 else None,
+        "warm_p50_ms": round(percentile(warm_latencies, 0.5) * 1000, 3),
+        "cold_p50_ms": round(percentile(cold_latencies, 0.5) * 1000, 3),
+        "estimator": "median-paired-ratio",
+        "speedup_p50": round(statistics.median(ratios), 2),
     }
 
     # --- open-loop rate sweep ----------------------------------------
@@ -464,9 +465,10 @@ def render(payload):
     lines = [table.render()]
     warm_cold = payload["warm_cold"]
     lines.append(
-        "warm pool p50 %.1f ms vs cold spawn p50 %.1f ms -> %.1fx"
+        "warm pool p50 %.1f ms vs cold spawn p50 %.1f ms -> %.1fx "
+        "(median of %d paired ratios)"
         % (warm_cold["warm_p50_ms"], warm_cold["cold_p50_ms"],
-           warm_cold["speedup_p50"]))
+           warm_cold["speedup_p50"], warm_cold["warm_samples"]))
     chaos = payload["chaos"]
     lines.append(
         "chaos: %d requests, %d kills, %d retries, %d lost, poison %s, "

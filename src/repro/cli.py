@@ -14,7 +14,7 @@ Commands::
     kivati apps                   list the application models
     kivati chaos                  run the fault-injection chaos suite
     kivati soak                   soak the app suite under overload + faults
-    kivati journal JOURNAL        inspect / postmortem-reverify a journal
+    kivati journal JOURNAL        inspect a journal (state, event kinds)
     kivati check JOURNAL          streaming offline checker (no re-execution)
     kivati replay FILE JOURNAL    deterministically replay a recorded run
     kivati fleet run              shard the app suite over worker processes
@@ -37,7 +37,7 @@ Commands::
     kivati bench validate         schema-check BENCH_*.json artifacts
 
 Exit codes: 0 success; 1 invariant failure (chaos divergence, replay
-divergence, postmortem disagreement, fleet determinism/recovery failure);
+divergence, checker disagreement, fleet determinism/recovery failure);
 2 usage error; 3 violations found under ``--strict`` (for ``fuzz``:
 any archived divergence).
 """
@@ -142,32 +142,27 @@ def _config(args):
 def cmd_run(args):
     pp = ProtectedProgram(_read(args.file))
     config = _config(args)
-    trace = None
-    if args.trace:
-        from repro.core.tracing import Trace
-
-        trace = Trace()
-        config = config.copy(trace=trace)
     recorder = None
-    if args.journal:
+    if args.journal or args.trace:
         from repro.journal.format import JournalWriter
         from repro.journal.recorder import JournalRecorder
 
-        recorder = JournalRecorder(writer=JournalWriter(args.journal))
+        recorder = JournalRecorder(
+            writer=JournalWriter(args.journal) if args.journal else None)
         config = config.copy(journal=recorder)
     report = pp.run(config)
     print("output:", report.output)
     print(report.summary())
     for violation in report.violations:
         print("violation: " + violation.describe())
-    if trace is not None:
+    if args.trace:
         if report.violations:
             print("\n--- forensic trace around the first violation ---")
-            print(trace.render_violation(report.violations.records[0]))
+            print(recorder.render_violation(report.violations.records[0]))
         else:
             print("\n--- execution trace ---")
-            print(trace.render())
-    if recorder is not None:
+            print(recorder.render())
+    if args.journal:
         print("journal: %d frames -> %s" % (len(recorder), args.journal))
     if args.strict and report.violations:
         return 3
@@ -315,7 +310,6 @@ def cmd_soak(args):
 def cmd_journal(args):
     from repro.errors import JournalError
     from repro.journal.format import read_journal
-    from repro.journal.postmortem import reverify
     from repro.journal.recovery import reconstruct_state
 
     try:
@@ -340,15 +334,7 @@ def cmd_journal(args):
             print("  " + event.describe())
         if len(result.events) > args.events:
             print("  ... %d more" % (len(result.events) - args.events))
-    status = 0
-    if args.postmortem:
-        post = reverify(result.events)
-        print(post.describe())
-        if not post.agrees:
-            status = 1
-    if not state.consistent:
-        status = 1
-    return status
+    return 0 if state.consistent else 1
 
 
 def cmd_check(args):
@@ -952,7 +938,8 @@ def main(argv=None):
                        choices=[level.value for level in OptLevel])
         p.add_argument("--bug-finding", action="store_true")
         p.add_argument("--trace", action="store_true",
-                       help="record and print an execution trace")
+                       help="print the journal's event timeline (the "
+                            "forensic view around the first violation)")
 
     p = sub.add_parser("annotate", help="print the annotated program")
     p.add_argument("file")
@@ -1052,9 +1039,6 @@ def main(argv=None):
     p.add_argument("journal", help="journal file written by run --journal")
     p.add_argument("--events", type=int, default=0, metavar="N",
                    help="also print the first N events")
-    p.add_argument("--postmortem", action="store_true",
-                   help="re-verify serializability offline; exit 1 on any "
-                        "disagreement with the online detector")
     p.set_defaults(fn=cmd_journal)
 
     p = sub.add_parser(

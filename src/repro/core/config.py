@@ -88,7 +88,6 @@ class KivatiConfig:
         "trap_before",
         "eager_crosscore",
         "max_steps",
-        "trace",
         "journal",
         "faults",
         "breaker",
@@ -116,7 +115,6 @@ class KivatiConfig:
         trap_before=False,
         eager_crosscore=False,
         max_steps=200_000_000,
-        trace=None,
         journal=None,
         faults=None,
         breaker=True,
@@ -153,12 +151,10 @@ class KivatiConfig:
         # immediate IPI instead of the paper's lazy opportunistic scheme
         self.eager_crosscore = eager_crosscore
         self.max_steps = max_steps
-        # optional repro.core.tracing.Trace for violation forensics
-        self.trace = trace
         # optional repro.journal.JournalRecorder: the durable incident
         # journal (scheduler decisions, AR lifecycle, traps, undos,
         # degradations) that survives the process and feeds replay,
-        # crash recovery and the postmortem re-verifier
+        # crash recovery, the offline checker and the forensic view
         self.journal = journal
         # optional repro.faults.FaultPlan: deterministic fault injection;
         # None (the default) keeps every injection site on its zero-cost
@@ -185,7 +181,7 @@ class KivatiConfig:
         # into cheap scheduling decisions
         self.conflict_sched = conflict_sched
         # optional repro.obs.ObsPlane: metrics registry + deterministic
-        # VM profiler. A per-run mutable observer like trace/journal —
+        # VM profiler. A per-run mutable observer like journal —
         # excluded from journal snapshots, and purely read-only with
         # respect to simulation (no cost, scheduling, journal or report
         # changes); None keeps every hook on its is-None predicate
@@ -216,7 +212,6 @@ class KivatiConfig:
             "trap_before": self.trap_before,
             "eager_crosscore": self.eager_crosscore,
             "max_steps": self.max_steps,
-            "trace": self.trace,
             "journal": self.journal,
             "faults": self.faults,
             "breaker": self.breaker,

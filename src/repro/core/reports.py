@@ -136,9 +136,9 @@ class DegradationRecord:
 class DegradationLog:
     """Accumulates degradation events during a run.
 
-    Bounded with the same discipline as the trace ring buffer
-    (repro.core.tracing.Trace): once ``max_records`` is reached new
-    records are dropped and counted, so a long soak under sustained
+    Bounded with the same discipline as ``JournalRecorder(max_events=)``:
+    once ``max_records`` is reached new records are dropped and
+    counted, so a long soak under sustained
     degradation cannot grow memory without bound — and cannot drop
     records silently (``dropped`` surfaces as
     ``KivatiStats.degradations_dropped``).

@@ -148,18 +148,17 @@ class ChaosCase:
     """Outcome of one (plan, seed) chaos run against its baseline."""
 
     __slots__ = ("plan", "seed", "report", "baseline", "problems",
-                 "postmortem")
+                 "check")
 
     def __init__(self, plan, seed, report, baseline, problems,
-                 postmortem=None):
+                 check=None):
         self.plan = plan
         self.seed = seed
         self.report = report
         self.baseline = baseline
         self.problems = problems
-        #: PostmortemResult of the offline re-verification (None only when
-        #: the journal plane was unavailable)
-        self.postmortem = postmortem
+        #: CheckResult of the offline checker over the run's journal
+        self.check = check
 
     @property
     def ok(self):
@@ -182,10 +181,11 @@ def _injected_ids(report):
 
 def run_chaos_case(program, plan, seed, config, baseline=None):
     """Run one schedule on one seed; verify completion, determinism,
-    fault attribution and postmortem agreement. Returns a
+    fault attribution and checker agreement. Returns a
     :class:`ChaosCase`."""
-    from repro.journal.postmortem import reverify_report
+    from repro.journal.checker import check_events
     from repro.journal.recorder import JournalRecorder
+    from repro.journal.replay import report_verdicts
 
     journal = JournalRecorder()
     replay_journal = JournalRecorder()
@@ -231,30 +231,19 @@ def run_chaos_case(program, plan, seed, config, baseline=None):
         if faulty.stats.as_dict() != baseline.stats.as_dict():
             problems.append("stats diverged with no fault fired")
 
-    # 4. postmortem: the offline serializability re-verifier must agree
-    # with every online verdict, even under injected faults
-    postmortem, report_matches = reverify_report(journal, faulty)
-    if not postmortem.agrees:
-        problems.append("postmortem disagreement (%d verdicts, %d anomalies)"
-                        % (len(postmortem.disagreements),
-                           len(postmortem.anomalies)))
-    elif not report_matches:
-        problems.append("postmortem verdicts do not match the run report")
-
-    # 5. checker: the streaming offline checker is the third evaluator;
-    # under injected faults it must still reproduce the reverify pass
-    # verdict-for-verdict and reach the same conclusion
-    from repro.journal.checker import check_events
-
+    # 4. checker: the offline serializability checker must agree with
+    # every online verdict, even under injected faults, and its verdicts
+    # must be the run report's
     check = check_events(journal.events)
-    if (check.verdicts != postmortem.offline
-            or check.online != postmortem.online
-            or check.agrees != postmortem.agrees):
-        problems.append("checker diverged from reverify (%s: %d vs %d "
-                        "verdicts)" % (check.status, len(check.verdicts),
-                                       len(postmortem.offline)))
+    if not check.agrees:
+        problems.append("checker disagreement (%s: %d verdicts, %d "
+                        "anomalies)" % (check.status,
+                                        len(check.disagreements),
+                                        len(check.anomalies)))
+    elif check.verdicts != report_verdicts(faulty):
+        problems.append("checker verdicts do not match the run report")
 
-    # 6. pressure accounting: every slot leak the watchdog detected was
+    # 5. pressure accounting: every slot leak the watchdog detected was
     # reclaimed, and every arbiter decision left a journal record (both
     # trivially 0 == 0 when the pressure plane is off)
     stats = faulty.stats
@@ -267,7 +256,7 @@ def run_chaos_case(program, plan, seed, config, baseline=None):
         problems.append("arbiter decisions unjournaled: %d events for %d "
                         "decisions" % (arbiter_events, arbiter_decisions))
 
-    return ChaosCase(plan, seed, faulty, baseline, problems, postmortem)
+    return ChaosCase(plan, seed, faulty, baseline, problems, check)
 
 
 class ChaosReport:

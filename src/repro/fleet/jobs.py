@@ -19,7 +19,7 @@ Job kinds:
               pass for ``run_suite --jobs``; payload carries pickled
               report objects and is intentionally not JSON/digestable
 - ``fuzz``    one generated program through the fuzz oracle: online
-              detector vs journal reverify vs conflict-sched
+              detector vs offline checker vs conflict-sched
               transparency vs pinned replay; payload =
               CrossCheck.as_payload() plus program identity
 """
@@ -65,7 +65,7 @@ class JobSpec:
                    params=None):
         """Build a spec from a live KivatiConfig via the snapshot codec.
 
-        Per-run mutable objects (trace, journal recorder, injector) are
+        Per-run mutable objects (journal recorder, injector) are
         not snapshotted — the worker attaches fresh ones.
         """
         return cls(job_id, kind, source, config_snapshot(config),

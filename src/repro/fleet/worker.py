@@ -230,7 +230,7 @@ def _execute_fuzz(spec, config, journal_dir):
 
     The detection run records to the job's on-disk journal (so the
     supervisor can replay-verify it and a diverging case can archive
-    the schedule); the reverify / report / replay / conflict cross-checks
+    the schedule); the checker / report / replay / conflict cross-checks
     run in-worker on the in-memory event stream.
     """
     global _ACTIVE_WRITER

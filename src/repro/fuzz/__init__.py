@@ -10,8 +10,8 @@ self-testing loop:
   sizes, sharing rate, lock discipline, syncvar fraction) whose output
   passes ``repro.minic`` typecheck by construction;
 - :mod:`repro.fuzz.oracle` — the cross-check: the online detector vs
-  the journal ``reverify`` pass vs ``conflict_sched=True`` transparency
-  vs pinned replay, on one generated program;
+  the offline checker over its journal vs ``conflict_sched=True``
+  transparency vs pinned replay, on one generated program;
 - :mod:`repro.fuzz.campaign` — fans generated programs out as fleet
   ``fuzz`` jobs and collects divergences;
 - :mod:`repro.fuzz.minimize` — ddmin over statements/threads, each

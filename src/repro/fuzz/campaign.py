@@ -27,10 +27,9 @@ from repro.fleet.supervisor import FleetPolicy, FleetSupervisor
 from repro.fuzz.archive import archive_case, case_name, salvage_corpus
 from repro.fuzz.generator import FuzzParams, generate_source
 from repro.fuzz.minimize import minimize
-from repro.fuzz.oracle import drilled_events, report_verdicts
+from repro.fuzz.oracle import drilled_events
 from repro.journal.checker import check_events
-from repro.journal.postmortem import reverify
-from repro.journal.replay import record_run, replay_run
+from repro.journal.replay import record_run, replay_run, report_verdicts
 
 #: instruction bound for fuzz runs — generated programs finish in a few
 #: thousand instructions, and minimizer candidates that lose their loop
@@ -227,22 +226,21 @@ def _diverges(program, config, seed, kinds, drill):
     report, recorder = record_run(program, config, seed=seed)
     if "deadlock" in kinds and report.result.deadlocked:
         return True
-    if kinds & {"reverify", "report"}:
-        post = reverify(recorder.events)
-        if (post.disagreements or post.anomalies
-                or post.offline != report_verdicts(report)):
-            return True
-    if "checker" in kinds:
-        post = reverify(recorder.events)
+    if kinds & {"reverify", "report", "checker"}:
         check = check_events(recorder.events)
-        if (check.verdicts != post.offline or check.online != post.online
-                or check.agrees != post.agrees):
+        if (kinds & {"reverify", "report"}
+                and (check.disagreements or check.anomalies
+                     or check.verdicts != report_verdicts(report))):
             return True
-    if kinds & {"drill-reverify", "drill-checker"} and drill:
+        if "checker" in kinds and not check.complete:
+            return True
+    if kinds & {"drill-reverify", "checker"} and drill:
         lossy = drilled_events(recorder.events, drill)
-        if "drill-reverify" in kinds and reverify(lossy).disagreements:
+        drilled = check_events(lossy)
+        if "drill-reverify" in kinds and drilled.disagreements:
             return True
-        if "drill-checker" in kinds and check_events(lossy).disagreements:
+        if ("checker" in kinds and drilled.complete
+                and len(lossy) < len(recorder.events)):
             return True
     if "replay" in kinds:
         replay = replay_run(program, recorder)
@@ -390,11 +388,6 @@ def _minimize_and_archive(spec, prog, kinds, payload, log):
         "archived_seed": seed,
         "drill": prog.drill,
         "kinds": sorted(kinds),
-        #: True when the streaming checker (not just the replay-based
-        #: legs) disagreed — the triage queue for checker-vs-detector
-        #: splits filters on this
-        "checker_divergence": any(k in ("checker", "drill-checker")
-                                  for k in kinds),
         "oracle": payload,
         "minimize": min_payload,
     }

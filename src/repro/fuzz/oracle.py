@@ -2,19 +2,18 @@
 
 A fuzz campaign is only as good as its notion of "wrong".  For each
 generated program the oracle runs the online detector once with a
-journal attached, then demands four independently-implemented views
-agree:
+journal attached, then demands these views agree:
 
-- **reverify** — the RegionTrack-style offline pass re-derives every
-  verdict from the journal alone (``repro.journal.postmortem``);
-- **report** — the RunReport's ViolationRecords match the journaled
-  verdict stream (the user-facing path tells the same story);
+- **reverify** — the sound-and-complete streaming checker
+  (``repro.journal.checker``) re-derives every verdict from the journal
+  alone, RegionTrack-style, and must reproduce the online verdict
+  multiset exactly with no anomalies;
+- **report** — the RunReport's ViolationRecords match the checker's
+  verdicts (the user-facing path tells the same story);
 - **replay** — the recording replays pinned, frame-for-frame, with the
   same verdict multiset (``repro.journal.replay``);
-- **checker** — the sound-and-complete streaming checker re-derives the
-  verdicts a third way, without re-execution and with its own region GC
-  (``repro.journal.checker``); it must match both the reverify pass and
-  the online multiset exactly;
+- **checker** — the checker's completeness claim is right: it calls
+  the intact recording ``complete``, and never a drilled (lossy) one;
 - **conflict** — with a core per thread the ``conflict_sched=True``
   policy is inert by construction, so a PREVENTION-mode run pair
   (base vs policy) must produce identical verdicts (the PR 7
@@ -26,30 +25,19 @@ Any disagreement, anomaly, pin divergence or deadlock is a
 The ``drop-trigger`` drill deliberately removes the first remote
 ``trigger`` frame from the journal before the offline pass — simulated
 journal loss.  On a program with a real violation this manufactures an
-honest online-vs-offline disagreement, which is how the minimizer,
-archiver and CI gates are exercised without waiting for a genuine
-detector bug.  Drill divergences are labeled as such everywhere.  The
-streaming checker sees the drilled journal too (with its sequence gap)
-and must flag the same loss as a *partial* disagreement — proving the
-triage path works for the fast backend as well.
+honest online-vs-offline disagreement (``drill-reverify``), which is
+how the minimizer, archiver and CI gates are exercised without waiting
+for a genuine detector bug.  Drill divergences are labeled as such
+everywhere.  The checker sees the drilled journal's sequence gap, so it
+must report it as *partial*, never as complete.
 """
 
 from repro.core.config import Mode
 from repro.journal.checker import check_events
-from repro.journal.postmortem import reverify, reverify_report
-from repro.journal.replay import record_run, replay_run, verdict_multiset
+from repro.journal.replay import record_run, replay_run, report_verdicts
 
 #: the one supported drill; campaign params carry it per job
 DRILL_DROP_TRIGGER = "drop-trigger"
-
-
-def report_verdicts(report):
-    """Canonical verdict multiset from a RunReport's ViolationRecords
-    (same tuple shape as the journal/postmortem multisets)."""
-    return sorted(
-        (r.ar_id, r.local_tid, r.remote_tid, str(r.first_kind),
-         str(r.remote_kind), str(r.second_kind), bool(r.prevented))
-        for r in report.violations)
 
 
 def drilled_events(events, drill):
@@ -71,16 +59,14 @@ class CrossCheck:
 
     __slots__ = ("online", "offline", "anomalies", "report_match",
                  "replay_ok", "replay_verdicts_match", "pin_divergences",
-                 "conflict_match", "checker_match", "checker_status",
-                 "deadlocked", "drill", "drill_diverged",
-                 "drill_checker_diverged", "violations", "violated_ars",
-                 "stats")
+                 "conflict_match", "checker_claim_ok", "checker_status",
+                 "deadlocked", "drill", "drill_diverged", "violations",
+                 "violated_ars", "stats")
 
     def __init__(self, online, offline, anomalies, report_match, replay_ok,
                  replay_verdicts_match, pin_divergences, conflict_match,
-                 checker_match, checker_status, deadlocked, drill,
-                 drill_diverged, drill_checker_diverged, violations,
-                 violated_ars, stats):
+                 checker_claim_ok, checker_status, deadlocked, drill,
+                 drill_diverged, violations, violated_ars, stats):
         self.online = online
         self.offline = offline
         self.anomalies = list(anomalies)
@@ -89,12 +75,13 @@ class CrossCheck:
         self.replay_verdicts_match = replay_verdicts_match
         self.pin_divergences = pin_divergences
         self.conflict_match = conflict_match
-        self.checker_match = checker_match
+        #: the checker called the intact recording complete, and the
+        #: drilled one (if any) not
+        self.checker_claim_ok = checker_claim_ok
         self.checker_status = checker_status
         self.deadlocked = deadlocked
         self.drill = drill
         self.drill_diverged = drill_diverged
-        self.drill_checker_diverged = drill_checker_diverged
         self.violations = violations
         #: AR ids with multiplicity — the campaign's rebinning rounds
         #: fold these into the arbiter-shaped violation history
@@ -115,12 +102,10 @@ class CrossCheck:
             kinds.append("replay")
         if not self.conflict_match:
             kinds.append("conflict")
-        if not self.checker_match:
+        if not self.checker_claim_ok:
             kinds.append("checker")
         if self.drill_diverged:
             kinds.append("drill-reverify")
-        if self.drill_checker_diverged:
-            kinds.append("drill-checker")
         return kinds
 
     @property
@@ -140,12 +125,11 @@ class CrossCheck:
             "replay_verdicts_match": self.replay_verdicts_match,
             "pin_divergences": self.pin_divergences,
             "conflict_match": self.conflict_match,
-            "checker_match": self.checker_match,
+            "checker_claim_ok": self.checker_claim_ok,
             "checker_status": self.checker_status,
             "deadlocked": self.deadlocked,
             "drill": self.drill,
             "drill_diverged": self.drill_diverged,
-            "drill_checker_diverged": self.drill_checker_diverged,
             "divergences": self.divergences,
             "stats": self.stats,
         }
@@ -181,54 +165,36 @@ def cross_check(program, config, seed, drill=None, recorder=None,
     """
     if recorder is None or report is None:
         report, recorder = record_run(program, config, seed=seed)
-    online = verdict_multiset(recorder.events)
-    post, report_match = reverify_report(recorder.events, report)
-    replay = replay_run(program, recorder)
     check = check_events(recorder.events)
-    # the third leg: the streaming checker must reproduce the reverify
-    # pass verdict-for-verdict, see the same online multiset, and reach
-    # the same overall conclusion on an intact in-memory journal
-    checker_match = (check.verdicts == post.offline
-                     and check.online == online
-                     and check.agrees == post.agrees)
+    replay = replay_run(program, recorder)
+    checker_claim_ok = check.complete
     drill_diverged = False
-    drill_checker_diverged = False
     if drill is not None:
         lossy = drilled_events(recorder.events, drill)
-        drilled = reverify(lossy)
+        drilled = check_events(lossy)
         drill_diverged = bool(drilled.disagreements)
-        # the checker sees the same lossy journal: it must derive the
-        # identical surviving-verdict multiset AND notice the sequence
-        # gap (never claim completeness of a drilled journal) — a
-        # mismatch on either is a real checker bug, not a drill outcome
-        drilled_check = check_events(lossy)
-        drill_checker_diverged = bool(drilled_check.disagreements)
-        if (drilled_check.verdicts != drilled.offline
-                or (len(lossy) < len(recorder.events)
-                    and drilled_check.complete)
-                or drill_checker_diverged != drill_diverged):
-            checker_match = False
+        if len(lossy) < len(recorder.events) and drilled.complete:
+            checker_claim_ok = False
     stats = {
         "instr_count": report.result.instr_count,
         "traps": report.stats.traps,
         "monitored_ars": report.stats.monitored_ars,
-        "windows_checked": post.windows_checked,
+        "windows_checked": check.windows_checked,
     }
     return CrossCheck(
-        online=online,
-        offline=post.offline,
-        anomalies=post.anomalies,
-        report_match=report_match,
+        online=check.online,
+        offline=check.verdicts,
+        anomalies=check.anomalies,
+        report_match=report_verdicts(report) == check.verdicts,
         replay_ok=replay.ok,
         replay_verdicts_match=replay.verdicts_match,
         pin_divergences=len(replay.pin_divergences),
         conflict_match=conflict_transparency(program, config, seed),
-        checker_match=checker_match,
+        checker_claim_ok=checker_claim_ok,
         checker_status=check.status,
         deadlocked=bool(report.result.deadlocked),
         drill=drill,
         drill_diverged=drill_diverged,
-        drill_checker_diverged=drill_checker_diverged,
         violations=len(report.violations),
         violated_ars=sorted(r.ar_id for r in report.violations),
         stats=stats,
@@ -236,4 +202,4 @@ def cross_check(program, config, seed, drill=None, recorder=None,
 
 
 __all__ = ["CrossCheck", "DRILL_DROP_TRIGGER", "conflict_transparency",
-           "cross_check", "drilled_events", "report_verdicts"]
+           "cross_check", "drilled_events"]

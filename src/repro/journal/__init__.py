@@ -1,8 +1,9 @@
 """Crash-safe incident journal with deterministic replay.
 
-The in-memory :class:`repro.core.tracing.Trace` ring buffer dies with the
-process; nothing a production deployment flags can be reproduced or
-audited after a crash. This package adds the durable plane:
+The journal is the run's one event stream: every runtime, kernel and
+machine event goes through :class:`JournalRecorder`, in memory or
+streamed to disk, so anything a production deployment flags can be
+reproduced, audited and checked after a crash. The package:
 
 - :mod:`repro.journal.events` — the canonical event model shared by the
   recorder, the reader, the replay engine and the offline checker;
@@ -10,19 +11,19 @@ audited after a crash. This package adds the durable plane:
   rotation on-disk format whose reader tolerates a torn tail (it
   truncates at the first corrupt frame and keeps everything before it);
 - :mod:`repro.journal.recorder` — the runtime sink: scheduler decisions,
-  begin/end/clear_atomic, traps, suspensions, timeouts, watchdog breaks,
-  undo operations and degradations stream through it, optionally to disk;
+  begin/end/clear_atomic, triggers, suspensions, timeouts, watchdog
+  breaks, undo operations and degradations stream through it, optionally
+  to disk; it also renders the forensic view around a violation;
 - :mod:`repro.journal.replay` — deterministic replay of a recorded run,
   pinned to the journaled schedule, with a first-divergence detector;
 - :mod:`repro.journal.recovery` — crash recovery: reconstruct consistent
   AR-table and watchpoint state from the journal and resume (by verified
   re-execution) or abort cleanly;
-- :mod:`repro.journal.postmortem` — an offline serializability
-  re-verifier (RegionTrack-style) that cross-checks every online verdict;
 - :mod:`repro.journal.stream` — a streaming, resynchronizing reader that
   scans past mid-file damage and accounts for every skipped byte;
 - :mod:`repro.journal.checker` — the sound-and-complete streaming
-  offline checker: verdicts without re-execution, bounded memory, and
+  offline checker (RegionTrack-style): it re-derives and cross-checks
+  every online verdict without re-execution, in bounded memory, with
   explicit partial coverage on damaged journals.
 """
 

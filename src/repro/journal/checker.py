@@ -1,12 +1,11 @@
 """Sound-and-complete streaming offline serializability checker.
 
-The third, fastest leg of the postmortem stack.  ``replay`` re-executes
-the whole program; ``reverify`` re-evaluates verdicts but materializes
-the full event list and retains every trigger forever.  This checker
-consumes a journal *frame by frame* — straight off a (possibly damaged)
-disk file via :mod:`repro.journal.stream` — and re-derives every
-serializability verdict in one pass with memory proportional to the
-number of *live* regions, not to the length of the trace.
+The repo's one offline verdict evaluator.  ``replay`` re-executes the
+whole program; this checker consumes a journal *frame by frame* —
+straight off a (possibly damaged) disk file via
+:mod:`repro.journal.stream` — and re-derives every serializability
+verdict in one pass with memory proportional to the number of *live*
+regions, not to the length of the trace.
 
 **The region model.**  Each atomic-region window is a region in the
 RegionTrack sense (arXiv:2008.04479): it opens at its ``begin`` frame,
@@ -280,8 +279,7 @@ class StreamingChecker:
     # -- evaluation -----------------------------------------------------
 
     def _evaluate(self, region, second, force_unprevented):
-        """Mirror of the kernel's end_atomic serializability evaluation
-        (and of :func:`repro.journal.postmortem.reverify`)."""
+        """Mirror of the kernel's end_atomic serializability evaluation."""
         epoch = self._epochs.get((region.slot, region.gen))
         triggers = epoch.triggers if epoch is not None else ()
         first = _kind(region.first)
@@ -318,7 +316,7 @@ class StreamingChecker:
             if stale is not None:
                 # its end fell in a gap, or the recorder restarted the
                 # window; either way the stale window can never be
-                # evaluated (postmortem overwrites it silently too)
+                # evaluated
                 self._detach(stale)
                 if self._missing or self._gaps:
                     self._unverified += 1

@@ -2,7 +2,7 @@
 
 An event is the unit of everything downstream: one frame on disk, one
 comparison step in the replay divergence detector, one fact for the
-recovery and postmortem planes. Payloads are restricted to JSON-safe
+recovery and offline-checker planes. Payloads are restricted to JSON-safe
 values and encoded canonically (sorted keys, no whitespace) so that two
 identical runs produce byte-identical frames regardless of
 PYTHONHASHSEED or dict construction order.
@@ -11,10 +11,14 @@ Event kinds, by emitting layer:
 
 - machine:  ``sched`` (a thread placed on a core)
 - session:  ``run-start`` (config snapshot + source hash), ``run-end``
-- runtime:  ``begin``, ``end``, ``trap``, ``pause``, ``miss``
-- kernel:   ``arm``, ``disarm``, ``trigger``, ``zombify``, ``clear``,
-            ``suspend``, ``wake``, ``timeout``, ``watchdog``, ``undo``,
-            ``degrade``, ``resync``, ``violation``
+- runtime:  ``pause``
+- kernel:   ``begin``, ``end``, ``miss``, ``arm``, ``disarm``,
+            ``trigger``, ``zombify``, ``clear``, ``suspend``, ``wake``,
+            ``timeout``, ``watchdog``, ``undo``, ``degrade``, ``resync``,
+            ``violation``
+- ``trap`` is a valid kind that nothing journals: a watchpoint trap is
+  recorded as the kernel's ``trigger`` frame (pc, location, slot, gen,
+  access kinds), which is what replay and the checker consume
 - pressure: ``arbiter`` (slot preemption/denial), ``quarantine``
             (enter/increase/decrease/release plus per-entry
             monitor/skip sampling decisions), ``pressure``

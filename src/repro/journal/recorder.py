@@ -1,10 +1,14 @@
-"""The journal recorder: runtime event sink, optionally backed by disk.
+"""The journal recorder: the runtime's one event sink, optionally backed
+by disk.
 
-The recorder exposes the same ``emit(time_ns, tid, kind, **details)``
-surface as :class:`repro.core.tracing.Trace`, so the machine, kernel and
-runtime write to both through one call site. Unlike the trace ring
-buffer, every event is framed and (when a writer is attached) flushed to
-disk immediately — the journal is the durable record.
+The machine, kernel and runtime call ``emit(time_ns, tid, kind,
+**details)``; every event is framed and (when a writer is attached)
+flushed to disk immediately — the journal is the durable record. The
+same events feed replay, recovery, the offline checker, AR spans and
+the forensic view (:meth:`JournalRecorder.render_violation`): the
+paper's diagnosability claim (thread ids, the variable's address and
+the pcs involved, Section 5) rides on the ``trigger``, ``undo`` and
+``violation`` frames.
 
 Crash injection: when a :class:`repro.faults.plan.FaultInjector` whose
 plan schedules ``journal.crash`` is attached, each frame append is an
@@ -69,14 +73,25 @@ class JournalRecorder:
                 if (kinds is None or e.kind in kinds)
                 and (tid is None or e.tid == tid)]
 
-    def render(self, limit=200):
-        lines = [e.describe() for e in self.events[:limit]]
-        if len(self.events) > limit:
-            lines.append("... %d more events" % (len(self.events) - limit))
+    def render(self, events=None, limit=200):
+        """Chronological text listing of ``events`` (default: all)."""
+        events = self.events if events is None else events
+        lines = [e.describe() for e in events[:limit]]
+        if len(events) > limit:
+            lines.append("... %d more events" % (len(events) - limit))
         if self.dropped:
             lines.append("... %d events dropped (max_events=%d)"
                          % (self.dropped, self.max_events))
         return "\n".join(lines)
+
+    def render_violation(self, violation, window_ns=100_000):
+        """The forensic view: every event within ``window_ns`` of one
+        recorded :class:`repro.core.reports.ViolationRecord` (less the
+        run-start config header)."""
+        nearby = [e for e in self.events if e.kind != "run-start"
+                  and abs(e.time_ns - violation.time_ns) <= window_ns]
+        return "violation: %s\n%s" % (violation.describe(),
+                                       self.render(nearby))
 
     def __len__(self):
         return len(self.events)

@@ -150,6 +150,14 @@ def verdict_multiset(events):
     return sorted(verdicts)
 
 
+def report_verdicts(report):
+    """The same multiset built from a RunReport's ViolationRecords."""
+    return sorted(
+        (r.ar_id, r.local_tid, r.remote_tid, str(r.first_kind),
+         str(r.remote_kind), str(r.second_kind), bool(r.prevented))
+        for r in report.violations)
+
+
 class ReplayResult:
     """Outcome of one deterministic replay."""
 
@@ -226,7 +234,7 @@ def replay_run(program, journal, check_source=True, pin=True,
                                   drop_fault_points=drop_fault_points)
     recorder = JournalRecorder()
     schedule_pin = SchedulePin(recorded) if pin else None
-    report = program.run(config.copy(journal=recorder, trace=None),
+    report = program.run(config.copy(journal=recorder),
                          schedule_pin=schedule_pin)
     incomplete = torn or not any(e.kind == "run-end" for e in recorded)
     offset = 0
@@ -247,4 +255,4 @@ def replay_run(program, journal, check_source=True, pin=True,
 
 __all__ = ["Divergence", "ReplayResult", "SchedulePin", "events_from",
            "first_divergence", "record_run", "replay_run",
-           "run_start_snapshot", "verdict_multiset"]
+           "report_verdicts", "run_start_snapshot", "verdict_multiset"]

@@ -8,7 +8,7 @@ seed, topology, mode, optimization switches, timing parameters, cost
 model, fault plan — plus a hash of the protected source so replay can
 refuse a journal recorded from a different program.
 
-Per-run mutable objects (trace, journal recorder, injector state) are
+Per-run mutable objects (journal recorder, injector state) are
 deliberately not part of the snapshot: replay supplies fresh ones.
 """
 

@@ -116,11 +116,6 @@ class KivatiKernel:
     def _record_degradation(self, kind, time_ns, tid=None, **detail):
         self.stats.degradations += 1
         self.degrade.add(DegradationRecord(kind, time_ns, tid, **detail))
-        if self.config.trace is not None:
-            # the degradation kind travels as "what": emit()'s third
-            # positional is already named kind
-            self.config.trace.emit(time_ns, tid if tid is not None else -1,
-                                   "degrade", what=kind, **detail)
         self._journal(time_ns, tid if tid is not None else -1, "degrade",
                       what=kind, **detail)
 
@@ -270,9 +265,6 @@ class KivatiKernel:
             self.stats.replica_resyncs += 1
             self._record_degradation("replica-resync", core.clock,
                                      core=core.index)
-            if self.config.trace is not None:
-                self.config.trace.emit(core.clock, -1, "resync",
-                                       core=core.index)
             self._journal(core.clock, -1, "resync", core=core.index)
         if self.pressure is not None:
             self._scan_for_leaks(core)
@@ -356,10 +348,6 @@ class KivatiKernel:
         self.suspensions.pop(susp.tid, None)
         self.susp_slot.pop(susp.tid, None)
         self.machine.wake_thread(susp.tid)
-        if self.config.trace is not None:
-            self.config.trace.emit(
-                core.clock if core is not None else 0, susp.tid, "wake",
-                reason=susp.reason)
         self._journal(core.clock if core is not None else self.machine.now(),
                       susp.tid, "wake", reason=susp.reason)
         self._release_containments(susp.tid, core)
@@ -391,10 +379,6 @@ class KivatiKernel:
         self.stats.suspensions += 1
         if self.profiler is not None:
             self.profiler.note_suspend(len(self.suspensions))
-        if self.config.trace is not None:
-            self.config.trace.emit(core.clock, thread.tid, "suspend",
-                                   reason=reason, slot=slot.index,
-                                   addr=slot.addr)
         if self.pressure is not None:
             # the multiplier only rides along on pressure-enabled runs so
             # journals recorded before this plane existed replay unchanged
@@ -447,8 +431,6 @@ class KivatiKernel:
         self.stats.watchdog_breaks += 1
         self._record_degradation("watchdog-break", now, tid=tid,
                                  cycle=tuple(cycle), slot=slot_index)
-        if self.config.trace is not None:
-            self.config.trace.emit(now, tid, "watchdog", cycle=tuple(cycle))
         slot = self.slots[slot_index]
         self._journal(now, tid, "watchdog", cycle=tuple(cycle),
                       slot=slot_index, gen=slot.gen)
@@ -470,8 +452,6 @@ class KivatiKernel:
             return
         self.stats.suspend_timeouts += 1
         now = self.machine.now()
-        if self.config.trace is not None:
-            self.config.trace.emit(now, tid, "timeout", slot=slot_index)
         slot = self.slots[slot_index]
         self._journal(now, tid, "timeout", slot=slot_index, gen=slot.gen,
                       stale=susp not in slot.suspended)
@@ -956,10 +936,6 @@ class KivatiKernel:
             self.stats.unable_to_reorder += 1
             return False
         self.stats.undos += 1
-        if self.config.trace is not None:
-            self.config.trace.emit(core.clock, thread.tid, "undo",
-                                   pc=fpc, addr=slot.addr,
-                                   loc=machine.program.location(fpc))
         self._journal(core.clock, thread.tid, "undo", pc=fpc,
                       addr=slot.addr, slot=slot.index, gen=slot.gen,
                       loc=machine.program.location(fpc))
@@ -1027,12 +1003,6 @@ class KivatiKernel:
                         # signal: ARs that produce violations are the
                         # ones worth a hardware watchpoint
                         self.pressure.note_violation(info.ar_id)
-                    if self.config.trace is not None:
-                        self.config.trace.emit(
-                            core.clock if core is not None else trigger.time,
-                            local_tid, "violation", ar=info.ar_id,
-                            var=info.var, remote_tid=trigger.tid,
-                            prevented=prevented)
                     self._journal(
                         core.clock if core is not None else trigger.time,
                         local_tid, "violation", ar=info.ar_id, var=info.var,

@@ -91,7 +91,7 @@ class KernelSlot:
         self.index = index
         # monotone arming generation: incremented every time the slot is
         # (re)armed for a fresh address, never reset by free().  Journal
-        # events carry (slot, gen) so offline replay/postmortem tools can
+        # events carry (slot, gen) so offline replay and checker tools can
         # attribute triggers to AR windows exactly as the online kernel
         # did, without relying on cross-core timestamps.
         self.gen = 0

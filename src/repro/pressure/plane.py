@@ -23,9 +23,9 @@ class PressurePlane:
         self.policy = policy if policy is not None else PressurePolicy()
         self.arbiter = SlotArbiter()
         self.quarantine = QuarantineManager(self.policy)
-        #: bounded decision history (same discipline as the trace ring
-        #: buffer: drop-on-full, count what was dropped) so long soaks
-        #: cannot grow memory without bound
+        #: bounded decision history (same discipline as a bounded
+        #: journal recorder: drop-on-full, count what was dropped) so
+        #: long soaks cannot grow memory without bound
         self.history = []
         self.history_dropped = 0
 

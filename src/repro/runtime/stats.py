@@ -55,8 +55,9 @@ class KivatiStats:
         "whitelist_malformed_lines",
         "duplicate_traps_ignored",
         "undo_faults_injected",
-        # observability of the observers: trace ring-buffer evictions and
-        # journal frames produced (0 when the facility is not attached)
+        # observability of the observers: events a bounded in-memory
+        # journal recorder dropped, and journal frames produced (0 when
+        # no recorder is attached)
         "trace_dropped_events",
         "journal_frames",
         # overload control plane (repro.pressure)

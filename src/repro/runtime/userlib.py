@@ -85,7 +85,6 @@ class KivatiRuntime(BaseRuntime):
                                    pressure=self.pressure)
         self.machine = None
         self._pause_seq = 0
-        self.trace = config.trace
         self.journal = config.journal
         # static conflict-footprint analysis products (repro.analysis
         # .footprint), consumed by the conflict-aware scheduler
@@ -198,13 +197,6 @@ class KivatiRuntime(BaseRuntime):
 
         info = self.ar_table[ar_id]
         out = self.kernel.begin_atomic(core, thread, info, addr)
-        if self.trace is not None:
-            self.trace.emit(core.clock, thread.tid, "begin", ar=ar_id,
-                            addr=addr, var=info.var,
-                            monitored=out.monitored, missed=out.missed,
-                            suspended=out.suspended)
-            if out.missed:
-                self.trace.emit(core.clock, thread.tid, "miss", ar=ar_id)
 
         crossing = (not opt.o1_userspace) or out.needs_crossing
         if (crossing and self.faults is not None and self.faults.fires(
@@ -228,9 +220,6 @@ class KivatiRuntime(BaseRuntime):
                 and thread.state == ThreadState.RUNNING
                 and self._should_pause(thread)):
             self.stats.pauses += 1
-            if self.trace is not None:
-                self.trace.emit(core.clock, thread.tid, "pause", ar=ar_id,
-                                ns=self.config.pause_ns)
             if self.journal is not None:
                 self.journal.emit(core.clock, thread.tid, "pause", ar=ar_id,
                                   ns=self.config.pause_ns)
@@ -277,10 +266,6 @@ class KivatiRuntime(BaseRuntime):
 
         second_kind = AccessKind.WRITE if second_is_write else AccessKind.READ
         out = self.kernel.end_atomic(core, thread, ar_id, second_kind)
-        if self.trace is not None:
-            self.trace.emit(core.clock, thread.tid, "end", ar=ar_id,
-                            second=str(second_kind),
-                            had_triggers=out.had_triggers)
 
         if not opt.o1_userspace:
             # without the replica, even a no-op end_atomic crosses
@@ -334,9 +319,6 @@ class KivatiRuntime(BaseRuntime):
 
     def on_watchpoint_trap(self, core, thread, after_pc, hit_slots, accesses):
         self.stats.traps += 1
-        if self.trace is not None:
-            self.trace.emit(core.clock, thread.tid, "trap",
-                            after_pc=after_pc, slots=tuple(hit_slots))
         self.machine.kernel_entries += 1
         self.kernel.on_trap(core, thread, after_pc, hit_slots, accesses)
         return 0
@@ -355,12 +337,11 @@ class KivatiRuntime(BaseRuntime):
         return 0
 
     def on_run_end(self, machine):
-        # surface ring-buffer evictions: a trace that silently dropped
-        # events must say so in the stats and the run report
-        if self.trace is not None:
-            self.stats.trace_dropped_events = self.trace.dropped
         if self.journal is not None:
             self.stats.journal_frames = len(self.journal) + self.journal.dropped
+            # surface in-memory evictions: a bounded recorder that
+            # silently dropped events must say so in the run report
+            self.stats.trace_dropped_events = self.journal.dropped
         self.stats.degradations_dropped = self.degrade.dropped
         # end-of-run slot audit: a lazily-freed slot that aged past the
         # leak bound without any begin/trap reconciling it is a leaked

@@ -1,19 +1,23 @@
 """Streaming checker unit tests: verdict semantics, zombie windows,
-epoch GC bounds, damage handling and the three-way agreement with
-``reverify`` and the online detector on real runs."""
+epoch GC bounds, damage handling, both disagreement directions, and the
+agreement with the online detector and the RunReport on real runs —
+the whole bug corpus included."""
 
 import os
 
 import pytest
 
 from journal_common import RACY_SRC, base_config
+from repro.bench.scale import corpus_config
+from repro.core.config import Mode
 from repro.core.session import ProtectedProgram
 from repro.journal.checker import (StreamingChecker, check_events,
                                    check_journal)
 from repro.journal.events import JournalEvent
 from repro.journal.format import JournalWriter
-from repro.journal.postmortem import reverify
 from repro.journal.recorder import JournalRecorder
+from repro.journal.replay import record_run, report_verdicts
+from repro.workloads.bugs import BUG_IDS, BUGS
 
 
 def _ev(seq, tid, kind, time_ns=None, **payload):
@@ -119,15 +123,51 @@ def test_stranded_zombie_is_counted_not_alarmed():
 
 
 def test_end_without_begin_is_anomalous_on_intact_journal():
-    events = [
-        _ev(0, 0, "run-start"),
-        _ev(1, 0, "end", ar=1, second="W"),
-        _ev(2, 0, "run-end"),
-    ]
+    # a plain end, a zombie end and a zombify, each with nothing to close
+    for kind, extra in (("end", {"second": "W"}),
+                        ("end", {"second": "W", "zombie": True}),
+                        ("zombify", {"slot": 0, "gen": 1})):
+        events = [
+            _ev(0, 0, "run-start"),
+            _ev(1, 0, kind, ar=1, **extra),
+            _ev(2, 0, "run-end"),
+        ]
+        result = check_events(events)
+        assert len(result.anomalies) == 1
+        assert result.status == "disagree"
+        assert not result.agrees
+
+
+@pytest.mark.parametrize("events, verdicts, anomalies", [
+    # (R, R, R) is serializable: a remote read never invalidates
+    ([_ev(0, 1, "begin", ar=3, slot=0, gen=1, first="R"),
+      _ev(1, 2, "trigger", slot=0, gen=1, kinds=["R"], undone=False),
+      _ev(2, 1, "end", ar=3, second="R")], [], 0),
+    # a trigger before the window opened, then one by the local thread
+    ([_ev(0, 2, "trigger", slot=0, gen=1, kinds=["W"], undone=True),
+      _ev(1, 1, "begin", ar=3, slot=0, gen=1, first="R"),
+      _ev(2, 1, "trigger", slot=0, gen=1, kinds=["W"], undone=True),
+      _ev(3, 1, "end", ar=3, second="R")], [], 0),
+    # the window outlived its watchpoint: the verdict is unprevented
+    ([_ev(0, 1, "begin", ar=3, slot=0, gen=1, first="R"),
+      _ev(1, 2, "trigger", slot=0, gen=1, kinds=["W"], undone=True),
+      _ev(2, 1, "zombify", ar=3, slot=0, gen=1, begin_time=0),
+      _ev(3, 1, "end", ar=3, second="R", zombie=True)],
+     [(3, 1, 2, "R", "W", "R", False)], 0),
+    ([_ev(0, 1, "end", ar=9, second="W")], [], 1),
+    ([_ev(0, 1, "zombify", ar=9, slot=0, gen=1)], [], 1),
+], ids=["serializable", "pre-window-and-local", "zombie", "orphan-end",
+        "orphan-zombify"])
+def test_unframed_fragments_get_verdicts_but_never_pass(events, verdicts,
+                                                        anomalies):
+    """Bare windows with no run-start, arm or run-end framing: the
+    verdicts and anomalies are those of the framed journal, but a stream
+    that never closed cleanly is only ever partial."""
     result = check_events(events)
-    assert len(result.anomalies) == 1
-    assert result.status == "disagree"
-    assert not result.agrees
+    assert result.verdicts == verdicts
+    assert len(result.anomalies) == anomalies
+    assert result.status == "partial"
+    assert not result.complete and not result.agrees
 
 
 def test_seq_gap_demotes_anomalies_to_unverified_and_caps_coverage():
@@ -191,15 +231,61 @@ def test_epoch_gc_bounds_retained_triggers():
     assert result.stats.epochs_gcd >= 49
 
 
-def test_check_events_three_way_agreement_on_real_run():
-    recorder = _racy_events()
-    post = reverify(recorder.events)
+@pytest.mark.parametrize("verdict_event, trigger, side", [
+    # a journaled violation no trigger supports
+    (True, None, "online-only"),
+    # triggers that prove a non-serializable interleaving, no violation
+    (False, dict(kinds=["W"], undone=True), "checker-only"),
+], ids=["online-only", "checker-only"])
+def test_disagreement_directions_are_flagged(verdict_event, trigger, side):
+    events = [_ev(0, 0, "run-start"), _ev(1, 0, "arm", slot=0, gen=1),
+              _ev(2, 1, "begin", ar=3, slot=0, gen=1, first="R")]
+    if trigger is not None:
+        events.append(_ev(3, 2, "trigger", slot=0, gen=1, **trigger))
+    if verdict_event:
+        events.append(_ev(3, 1, "violation", ar=3, remote_tid=2,
+                          first="R", remote="W", second="R",
+                          prevented=True))
+    events += [_ev(4, 1, "end", ar=3, second="R"), _ev(5, 0, "run-end")]
+    result = check_events(events)
+    expected = [(3, 1, 2, "R", "W", "R", True)]
+    assert result.disagreements == expected
+    assert (result.online if side == "online-only"
+            else result.verdicts) == expected
+    assert result.status == "disagree" and not result.agrees
+    assert "disagreement [%s]" % side in result.describe()
+
+
+def test_check_events_three_way_agreement_on_real_run(racy_program):
+    """Checker, journaled online verdicts and the RunReport agree."""
+    report, recorder = record_run(racy_program, base_config(), seed=0)
+    assert len(report.violations)
     result = check_events(recorder.events)
-    assert result.verdicts == post.offline
-    assert result.online == post.online
-    assert result.agrees == post.agrees
-    assert result.status == "pass"
+    assert result.verdicts == result.online == report_verdicts(report)
+    assert result.agrees and result.status == "pass"
     assert result.coverage == 1.0
+
+
+def test_describe_counts_every_verdict_on_the_racy_workload(racy_program):
+    report, recorder = record_run(racy_program, base_config(), seed=0)
+    result = check_events(recorder.events)
+    assert result.describe().splitlines()[0].startswith(
+        "checker: PASS — %d events, %d windows checked, %d verdicts "
+        "(online %d)" % (len(recorder.events), result.windows_checked,
+                         len(report.violations), len(report.violations)))
+    assert "disagreement" not in result.describe()
+
+
+@pytest.mark.parametrize("bug_id", BUG_IDS)
+def test_zero_disagreements_on_the_bug_corpus(bug_id):
+    """Acceptance: checker and online detector agree on every corpus bug."""
+    config = corpus_config(Mode.BUG_FINDING, pause_ms=20)
+    report, recorder = record_run(ProtectedProgram(BUGS[bug_id].source),
+                                  config, seed=1)
+    result = check_events(recorder.events)
+    assert result.agrees, result.describe()
+    assert result.verdicts == report_verdicts(report)
+    assert result.windows_checked > 0
 
 
 def test_check_journal_streams_from_disk(tmp_path):

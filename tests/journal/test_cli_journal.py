@@ -1,5 +1,5 @@
-"""CLI surface of the journal plane: run --journal/--strict, kivati
-journal, kivati replay — and their exit codes."""
+"""CLI surface of the journal plane: run --journal/--strict/--trace,
+kivati journal, kivati check, kivati replay — and their exit codes."""
 
 import pytest
 
@@ -56,10 +56,24 @@ def test_journal_command_inspects_a_recording(recorded_journal, capsys):
     assert "... " in out  # event listing was truncated at 5
 
 
-def test_journal_command_postmortem_agrees(recorded_journal, capsys):
-    assert main(["journal", recorded_journal, "--postmortem"]) == 0
+def test_check_command_strict_passes_on_a_recording(recorded_journal,
+                                                   capsys):
+    assert main(["check", "--strict", recorded_journal]) == 0
+    assert "checker: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("journal", [False, True],
+                         ids=["in-memory", "reuses-journal"])
+def test_run_trace_prints_the_forensic_view(racy_file, tmp_path, capsys,
+                                            journal):
+    argv = ["run", racy_file, "--opt", "base", "--trace"]
+    if journal:
+        argv += ["--journal", str(tmp_path / "j")]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "0 disagreements" in out
+    assert "--- forensic trace around the first violation ---" in out
+    assert " violation  addr=" in out
+    assert ("journal:" in out) == journal
 
 
 def test_journal_command_flags_torn_tail(recorded_journal, capsys):

@@ -5,16 +5,21 @@ a journaled window whose (first, remote, second) access triple has no
 explaining serial order — decided here by brute-force concrete
 execution of the three accesses, not by the Figure 2 table the checker
 itself uses.  Complete: every such witnessed triple is reported.
-Random traces cover up to 4 threads and 12 journal events, including
-stale triggers (recorded against the epoch before the window opened),
-same-thread triggers, rw-composite accesses and epoch sharing between
-consecutive windows.
+Random traces cover up to 4 threads and two windows, including stale
+triggers (recorded against the epoch before the window opened),
+same-thread triggers, rw-composite accesses, epoch sharing between
+consecutive windows, epoch retirement (a ``disarm`` then re-``arm``, or
+a re-``arm`` alone, at a higher generation between windows), zombie windows (``zombify``
+plus a late zombie ``end``, force-unprevented) and ``clear``-closed
+windows.  A zombie's end arrives after every later window, so epoch GC
+must never drop a trigger a live zombie still needs.
 
 Plus: checker verdict order is independent of PYTHONHASHSEED (the
 result multisets are sorted, never hash-ordered).
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -61,6 +66,7 @@ WINDOW = st.fixed_dictionaries({
     "first": KIND,
     "second": KIND,
     "triggers": st.lists(TRIGGER, max_size=2),
+    "close": st.sampled_from(["end", "zombie", "clear"]),
 })
 
 TRACE = st.fixed_dictionaries({
@@ -68,6 +74,10 @@ TRACE = st.fixed_dictionaries({
     #: both windows join one (slot, gen) epoch — the O2 lazy-free
     #: rejoin shape; the stale-trigger time filter must still hold
     "share": st.booleans(),
+    #: otherwise each window arms slot 0 at a higher generation,
+    #: retiring the previous epoch by a "disarm" then re-"arm", or by
+    #: the re-"arm" alone
+    "retire": st.sampled_from(["disarm", "rearm"]),
 })
 
 
@@ -83,12 +93,17 @@ def _events(trace):
         state["seq"] += 1
         state["time"] += 10
 
+    def verdicts(i, w):
+        for v in _window_verdicts(i, w):
+            emit(v[1], "violation", ar=i, remote_tid=v[2], first=v[3],
+                 remote=v[4], second=v[5], prevented=v[6])
+
     emit(0, "run-start")
+    late = []   # zombie windows: their end arrives after every window
     for i, w in enumerate(windows):
-        if trace["share"]:
-            slot, gen = 0, 1
-        else:
-            slot, gen = i % 2, i + 1
+        slot, gen = 0, (1 if trace["share"] else i + 1)
+        if i and not trace["share"] and trace["retire"] == "disarm":
+            emit(w["tid"], "disarm", slot=slot, gen=gen - 1)
         if not trace["share"] or i == 0:
             emit(w["tid"], "arm", slot=slot, gen=gen)
         for t in w["triggers"]:
@@ -101,26 +116,42 @@ def _events(trace):
             if not t["stale"]:
                 emit(t["tid"], "trigger", slot=slot, gen=gen,
                      kinds=list(t["kinds"]), undone=t["undone"])
-        emit(w["tid"], "end", ar=i, second=w["second"])
-        for verdict in _window_verdicts(i, w):
-            emit(verdict[1], "violation", ar=i, remote_tid=verdict[2],
-                 first=verdict[3], remote=verdict[4], second=verdict[5],
-                 prevented=verdict[6])
+        if w["close"] == "clear":
+            emit(w["tid"], "clear", ar=i)
+        elif w["close"] == "end":
+            emit(w["tid"], "end", ar=i, second=w["second"])
+            verdicts(i, w)
+        else:
+            emit(w["tid"], "zombify", ar=i, slot=slot, gen=gen)
+            if trace["share"]:
+                # a shared epoch stays armed: the zombie ends at once
+                emit(w["tid"], "end", ar=i, second=w["second"], zombie=True)
+                verdicts(i, w)
+            else:
+                late.append((i, w))
+    for i, w in late:
+        emit(w["tid"], "end", ar=i, second=w["second"], zombie=True)
+        verdicts(i, w)
     emit(0, "run-end")
     return events
 
 
 def _window_verdicts(i, w):
     """Brute-force expectation for one window: one verdict per remote
-    in-window access whose first matching kind is non-serializable."""
+    in-window access whose first matching kind is non-serializable.  A
+    cleared window is never evaluated; a zombie's verdicts are forced
+    unprevented."""
     verdicts = []
+    if w["close"] == "clear":
+        return verdicts
     for t in w["triggers"]:
         if t["stale"] or t["tid"] == w["tid"]:
             continue
         for kind in t["kinds"]:
             if not _serializable(w["first"], kind, w["second"]):
                 verdicts.append((i, w["tid"], t["tid"], w["first"], kind,
-                                 w["second"], t["undone"]))
+                                 w["second"],
+                                 t["undone"] and w["close"] != "zombie"))
                 break
     return verdicts
 
@@ -184,12 +215,17 @@ print(json.dumps({"verdicts": [list(v) for v in result.verdicts],
 """
 
 
+#: the script's relative ``src``/``tests/journal`` paths resolve here
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
 def test_checker_verdict_order_is_hashseed_independent():
     outputs = []
     for seed in ("0", "42", "31337"):
         proc = subprocess.run(
             [sys.executable, "-c", _HASHSEED_SCRIPT],
-            capture_output=True, text=True, cwd="/root/repo",
+            capture_output=True, text=True, cwd=_REPO_ROOT,
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stderr
