@@ -28,15 +28,15 @@ the sizes and program counts but keeps every gate on except the timing
 ones (a smoke artifact proves the machinery, not the performance claim).
 """
 
-import json
 import math
 import os
+import statistics
 import tempfile
 import time
 import zlib
 from random import Random
 
-from repro.bench.schema import check_schema
+from repro.bench.schema import check_schema, progress
 from repro.bench.render import Table
 from repro.bench.scale import corpus_config
 from repro.core.config import Mode
@@ -234,11 +234,6 @@ def scaling_series(sizes, seed=0, workdir=None):
 # -- speedup vs replay-based reverification ---------------------------------
 
 
-def _median(values):
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2]
-
-
 def speedup_section(iters=60, seed=0, runs=TIMING_RUNS):
     """Time ``check_journal`` vs ``replay_run`` on one real recording."""
     program = ProtectedProgram(RACY_TEMPLATE % {"iters": iters})
@@ -259,8 +254,8 @@ def speedup_section(iters=60, seed=0, runs=TIMING_RUNS):
         replay = replay_run(program, path)
         replay_times.append(time.perf_counter() - start)
         online = replay.ok and replay.verdicts_match
-    check_s = _median(check_times)
-    replay_s = _median(replay_times)
+    check_s = statistics.median(check_times)
+    replay_s = statistics.median(replay_times)
     return {
         "iters": iters,
         "seed": seed,
@@ -452,27 +447,24 @@ def fuzz_differential(n_programs, base_seed=0):
 # -- artifact ----------------------------------------------------------------
 
 
-def generate(sizes=None, smoke=False, fuzz_programs=None, log=None):
-    log = log or (lambda message: None)
-    if sizes is None:
-        sizes = SMOKE_SIZES if smoke else DEFAULT_SIZES
-    if fuzz_programs is None:
-        fuzz_programs = SMOKE_FUZZ_PROGRAMS if smoke else \
-            DEFAULT_FUZZ_PROGRAMS
+def generate(smoke=False):
+    sizes = SMOKE_SIZES if smoke else DEFAULT_SIZES
+    fuzz_programs = SMOKE_FUZZ_PROGRAMS if smoke else DEFAULT_FUZZ_PROGRAMS
     corpus_seeds = CORPUS_SEEDS[:1] if smoke else CORPUS_SEEDS
-    log("scaling: %s events" % (", ".join(str(s) for s in sizes)))
+    progress("scaling: %s events" % (", ".join(str(s) for s in sizes)))
     rows, slope = scaling_series(sizes)
-    log("scaling slope: %s" % (slope is not None and "%.3f" % slope))
-    log("speedup: checker vs replay_run")
+    progress("scaling slope: %s"
+             % (slope is not None and "%.3f" % slope))
+    progress("speedup: checker vs replay_run")
     speedup = speedup_section(iters=20 if smoke else 60)
-    log("speedup: %.1fx" % speedup["speedup"])
-    log("corruption sweep")
+    progress("speedup: %.1fx" % speedup["speedup"])
+    progress("corruption sweep")
     corruption = corruption_sweep(iters=4 if smoke else 8)
-    log("corruption: %d truncations + %d flips, %d crash(es)"
-        % (corruption["truncations"], corruption["flips"],
-           len(corruption["crashes"])))
-    log("differential: corpus x%d seeds + %d fuzz programs"
-        % (len(corpus_seeds), fuzz_programs))
+    progress("corruption: %d truncations + %d flips, %d crash(es)"
+             % (corruption["truncations"], corruption["flips"],
+                len(corruption["crashes"])))
+    progress("differential: corpus x%d seeds + %d fuzz programs"
+             % (len(corpus_seeds), fuzz_programs))
     corpus = corpus_differential(seeds=corpus_seeds, escalate=not smoke)
     fuzz = fuzz_differential(fuzz_programs)
     return {
@@ -495,9 +487,10 @@ def generate(sizes=None, smoke=False, fuzz_programs=None, log=None):
 def validate(payload):
     """Problems with a checkerbench artifact (empty list = valid).
 
-    Timing gates (slope, speedup) are skipped for smoke artifacts; the
-    correctness gates (soundness at every size, zero crashes, monotone
-    coverage, zero differential disagreements) always apply.
+    Timing gates (``MAX_SLOPE``, ``MIN_SPEEDUP``) are skipped for smoke
+    artifacts; the correctness gates (soundness at every size, zero
+    crashes, monotone coverage, zero differential disagreements) always
+    apply.
     """
     problems = check_schema(payload, SCHEMA)
     if not isinstance(payload, dict):
@@ -520,10 +513,9 @@ def validate(payload):
         if rows and max(r.get("events", 0) for r in rows) < 1_000_000:
             problems.append("largest scaling size below 1M events")
         slope = scaling.get("slope")
-        cap = scaling.get("max_slope", MAX_SLOPE)
-        if slope is None or slope > cap:
+        if slope is None or slope > MAX_SLOPE:
             problems.append("scaling slope %s exceeds %s (not near-linear)"
-                            % (slope, cap))
+                            % (slope, MAX_SLOPE))
         # streaming GC: peak retained state must not grow with the trace
         if len(rows) >= 2:
             first, last = rows[0], rows[-1]
@@ -536,10 +528,9 @@ def validate(payload):
     speedup = payload.get("speedup") or {}
     if not speedup.get("checker_agrees"):
         problems.append("checker disagreed on the speedup workload")
-    want = payload.get("min_speedup", MIN_SPEEDUP)
-    if want and speedup.get("speedup", 0.0) < want:
+    if not smoke and speedup.get("speedup", 0.0) < MIN_SPEEDUP:
         problems.append("speedup %.2fx below required %.1fx"
-                        % (speedup.get("speedup", 0.0), want))
+                        % (speedup.get("speedup", 0.0), MIN_SPEEDUP))
     corruption = payload.get("corruption") or {}
     if corruption.get("crashes"):
         problems.append("corruption sweep crashed %d time(s): %s"
@@ -601,15 +592,7 @@ def render(payload):
     return table.render()
 
 
-def write_payload(payload, path):
-    tmp = "%s.tmp" % path
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-
-
 __all__ = ["DEFAULT_SIZES", "MAX_SLOPE", "MIN_SPEEDUP", "SCHEMA",
            "corpus_differential", "corruption_sweep", "fuzz_differential",
            "generate", "render", "scaling_series", "speedup_section",
-           "synthesize_journal", "validate", "write_payload"]
+           "synthesize_journal", "validate"]

@@ -27,15 +27,12 @@ The artifact (schema ``kivati-conflictbench/v1``) is committed as
 ``BENCH_conflict.json``; ``validate`` is the CI gate.
 """
 
-import json
-import os
-
 from repro.bench.schema import check_schema
 from repro.bench.render import Table
 from repro.bench.scale import corpus_config
 from repro.core.config import KivatiConfig
 from repro.core.session import ProtectedProgram
-from repro.journal.replay import record_run, replay_run
+from repro.journal.replay import record_run, replay_run, report_verdicts
 from repro.workloads.bugs import BUGS
 from repro.workloads.catalog import workload_suite
 from repro.workloads.driver import detect_bug
@@ -54,8 +51,7 @@ def _totals(stats):
     return stats.suspensions + stats.undos
 
 
-def app_series(scale=DEFAULT_SCALE, seeds=DEFAULT_SEEDS,
-               num_cores=DEFAULT_CORES):
+def app_series(scale=DEFAULT_SCALE, seeds=DEFAULT_SEEDS):
     """Base vs conflict-scheduled stats per application."""
     rows = []
     for workload in workload_suite(scale=scale):
@@ -65,9 +61,9 @@ def app_series(scale=DEFAULT_SCALE, seeds=DEFAULT_SEEDS,
         decisions = defers = forced = 0
         for seed in seeds:
             base = program.run(
-                KivatiConfig(num_cores=num_cores, seed=seed)).stats
+                KivatiConfig(num_cores=DEFAULT_CORES, seed=seed)).stats
             conf = program.run(
-                KivatiConfig(num_cores=num_cores, seed=seed,
+                KivatiConfig(num_cores=DEFAULT_CORES, seed=seed,
                              conflict_sched=True)).stats
             base_susp += base.suspensions
             base_undo += base.undos
@@ -97,15 +93,6 @@ def app_series(scale=DEFAULT_SCALE, seeds=DEFAULT_SEEDS,
     return rows
 
 
-def _violation_multiset(report):
-    """Canonical multiset of a run's violation verdicts (mirrors the
-    journal-side :func:`repro.journal.replay.verdict_multiset`)."""
-    return sorted(
-        (r.ar_id, r.local_tid, r.remote_tid, r.first_kind, r.remote_kind,
-         r.second_kind, bool(r.prevented))
-        for r in report.violations)
-
-
 def corpus_transparency(bug_ids=None, seeds=CORPUS_SEEDS):
     """Violation-verdict multisets base vs conflict-scheduled, per bug
     and seed, under the detection configuration."""
@@ -117,8 +104,7 @@ def corpus_transparency(bug_ids=None, seeds=CORPUS_SEEDS):
             base = program.run(corpus_config(seed=seed))
             conf = program.run(corpus_config(seed=seed, conflict_sched=True))
             checked += 1
-            if (_violation_multiset(base)
-                    != _violation_multiset(conf)):
+            if report_verdicts(base) != report_verdicts(conf):
                 diffs.append({"bug": bug_id, "seed": seed})
     return {"runs_checked": checked, "diffs": diffs,
             "identical": not diffs}
@@ -138,14 +124,13 @@ def corpus_recall(bug_ids=None):
             "all_detected": not missed}
 
 
-def replay_determinism(scale=DEFAULT_SCALE, num_cores=DEFAULT_CORES,
-                       seed=0):
+def replay_determinism(scale=DEFAULT_SCALE, seed=0):
     """Journal one conflict-scheduled app run and replay it pinned."""
     workload = next(w for w in workload_suite(scale=scale)
                     if w.name == "VLC")
     program = ProtectedProgram(workload.source)
     _, recorder = record_run(
-        program, KivatiConfig(num_cores=num_cores, seed=seed,
+        program, KivatiConfig(num_cores=DEFAULT_CORES, seed=seed,
                               conflict_sched=True))
     result = replay_run(program, recorder)
     csched = sum(1 for e in recorder.events if e.kind == "csched")
@@ -156,22 +141,20 @@ def replay_determinism(scale=DEFAULT_SCALE, num_cores=DEFAULT_CORES,
             "verdicts_match": bool(result.verdicts_match)}
 
 
-def generate(scale=DEFAULT_SCALE, seeds=DEFAULT_SEEDS,
-             num_cores=DEFAULT_CORES, smoke=False):
+def generate(smoke=False):
     """Run the full benchmark; returns the artifact dict.
 
     ``smoke`` shrinks everything (CI-sized: one seed, reduced scale, a
     3-bug corpus slice) and relaxes the improvement gate — a smoke
     artifact proves the machinery runs, not the performance claim.
     """
-    corpus_bugs = None
-    corpus_seeds = CORPUS_SEEDS
     if smoke:
-        scale = min(scale, 0.4)
-        seeds = seeds[:1]
-        corpus_bugs = sorted(BUGS)[:3]
-        corpus_seeds = (0,)
-    apps = app_series(scale=scale, seeds=seeds, num_cores=num_cores)
+        scale, seeds = 0.4, DEFAULT_SEEDS[:1]
+        corpus_bugs, corpus_seeds = sorted(BUGS)[:3], (0,)
+    else:
+        scale, seeds = DEFAULT_SCALE, DEFAULT_SEEDS
+        corpus_bugs, corpus_seeds = None, CORPUS_SEEDS
+    apps = app_series(scale=scale, seeds=seeds)
     improved = [r["app"] for r in apps if r["verdict"] == "improved"]
     regressed = [r["app"] for r in apps if r["verdict"] == "regressed"]
     return {
@@ -179,7 +162,7 @@ def generate(scale=DEFAULT_SCALE, seeds=DEFAULT_SEEDS,
         "smoke": bool(smoke),
         "scale": scale,
         "seeds": list(seeds),
-        "num_cores": num_cores,
+        "num_cores": DEFAULT_CORES,
         "apps": apps,
         "improved": improved,
         "regressed": regressed,
@@ -187,15 +170,14 @@ def generate(scale=DEFAULT_SCALE, seeds=DEFAULT_SEEDS,
         "corpus": corpus_transparency(bug_ids=corpus_bugs,
                                       seeds=corpus_seeds),
         "recall": corpus_recall(bug_ids=corpus_bugs),
-        "replay": replay_determinism(scale=scale, num_cores=num_cores,
-                                     seed=seeds[0]),
+        "replay": replay_determinism(scale=scale, seed=seeds[0]),
     }
 
 
 def validate(payload):
     """Schema/invariant problems with a conflictbench artifact (empty
-    list = valid).  The improvement gate uses the artifact's own
-    ``min_improved`` (0 for smoke artifacts)."""
+    list = valid).  The improvement gate is ``MIN_IMPROVED``, waived
+    for smoke artifacts."""
     problems = check_schema(payload, SCHEMA)
     if not isinstance(payload, dict):
         return problems
@@ -209,7 +191,7 @@ def validate(payload):
                 problems.append("app row missing %r" % key)
     if not payload.get("smoke") and len(apps) != 5:
         problems.append("expected 5 apps, got %d" % len(apps))
-    want = payload.get("min_improved", MIN_IMPROVED)
+    want = 0 if payload.get("smoke") else MIN_IMPROVED
     improved = payload.get("improved") or []
     if len(improved) < want:
         problems.append("only %d apps improved, need >=%d (%s)"
@@ -257,14 +239,6 @@ def render(payload):
     return table.render()
 
 
-def write_payload(payload, path):
-    tmp = "%s.tmp" % path
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-
-
 __all__ = ["MIN_IMPROVED", "SCHEMA", "app_series", "corpus_recall",
            "corpus_transparency", "generate", "render",
-           "replay_determinism", "validate", "write_payload"]
+           "replay_determinism", "validate"]

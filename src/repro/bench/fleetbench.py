@@ -16,14 +16,11 @@ worse as workers grow (the honest number), while multi-core hosts see
 near-linear scaling because every job is an independent simulated
 execution with no shared state beyond the result queue.
 ``validate`` encodes exactly that: determinism and completeness are
-unconditional; the >=1.8x speedup gate at 4 workers applies only where
-the host has >=4 CPUs to scale onto (``require_speedup`` forces it).
+unconditional; the >=``MIN_SPEEDUP`` gate at 4 workers applies only
+where the recording host had >=4 CPUs to scale onto.
 """
 
-import json
-import os
-
-from repro.bench.schema import check_schema
+from repro.bench.schema import check_schema, host
 from repro.bench.render import Table
 from repro.bench.scale import bench_config
 from repro.core.config import Mode
@@ -33,14 +30,16 @@ from repro.fleet.supervisor import FleetPolicy, FleetSupervisor
 SCHEMA = "kivati-fleetbench/v1"
 DEFAULT_WORKERS = (1, 2, 4)
 DEFAULT_SEEDS = (3, 11)
-DEFAULT_MODES = (Mode.PREVENTION, Mode.BUG_FINDING)
+MODES = (Mode.PREVENTION, Mode.BUG_FINDING)
+#: jobs/sec at 4 workers over 1 worker, on hosts with >=4 CPUs
+MIN_SPEEDUP = 1.8
 
 
-def build_bench_jobs(scale=0.6, seeds=DEFAULT_SEEDS, modes=DEFAULT_MODES):
+def build_bench_jobs(scale=0.6, seeds=DEFAULT_SEEDS):
     """The bench job mix: 5 apps x seeds x modes ``run`` jobs (20 by
     default), every one an independent deterministic simulation."""
     specs = []
-    for mode in modes:
+    for mode in MODES:
         config = bench_config(mode=mode)
         specs.extend(app_run_jobs(
             config, seeds=seeds, scale=scale,
@@ -48,38 +47,26 @@ def build_bench_jobs(scale=0.6, seeds=DEFAULT_SEEDS, modes=DEFAULT_MODES):
     return specs
 
 
-def host_info():
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cpus = os.cpu_count() or 1
-    return {"cpu_count": cpus, "pid_start_method_default": "spawn"}
-
-
-def generate(workers_list=DEFAULT_WORKERS, scale=0.6, seeds=DEFAULT_SEEDS,
-             modes=DEFAULT_MODES, start_method="spawn", crash_drill=False):
+def generate(smoke=False, workers_list=DEFAULT_WORKERS, scale=0.6,
+             seeds=DEFAULT_SEEDS, start_method="spawn"):
     """Run the job mix at each worker count; returns the artifact dict.
 
-    ``crash_drill`` arms a mid-run worker kill on the first job of every
-    multi-worker round, so the benchmark also exercises (and times)
-    salvage + retry — recovery overhead is part of the honest number.
+    ``smoke`` is the CI-sized sweep: at most 2 workers, scale at most
+    0.25, the first seed only.
     """
-    specs = build_bench_jobs(scale=scale, seeds=seeds, modes=modes)
+    if smoke:
+        workers_list = tuple(w for w in workers_list if w <= 2) or (1, 2)
+        scale = min(scale, 0.25)
+        seeds = seeds[:1]
+    specs = build_bench_jobs(scale=scale, seeds=seeds)
     series = []
     digests = {}
     for workers in workers_list:
-        round_specs = specs
-        if crash_drill and workers > 0:
-            round_specs = [s.without_crash_drill() for s in specs]
-            drilled = round_specs[0]
-            drilled = type(drilled).from_dict(drilled.as_dict())
-            drilled.params["crash"] = {"at_frame": 5, "torn": 1}
-            round_specs[0] = drilled
         policy = FleetPolicy(workers=max(1, workers), verify=False,
-                             collect_journals=crash_drill,
+                             collect_journals=False,
                              start_method=start_method)
         supervisor = FleetSupervisor(workers=workers, policy=policy)
-        result = supervisor.run_jobs(round_specs)
+        result = supervisor.run_jobs(specs)
         aggregate = result.aggregate()
         digests[workers] = aggregate.digest()
         series.append({
@@ -100,22 +87,22 @@ def generate(workers_list=DEFAULT_WORKERS, scale=0.6, seeds=DEFAULT_SEEDS,
             if base["jobs_per_sec"] else None)
     return {
         "schema": SCHEMA,
-        "host": host_info(),
+        "smoke": bool(smoke),
+        "host": host(),
         "scale": scale,
         "seeds": list(seeds),
-        "modes": [m.value for m in modes],
+        "modes": [m.value for m in MODES],
         "start_method": start_method,
-        "crash_drill": bool(crash_drill),
         "job_count": len(specs),
         "series": series,
         "determinism_ok": len(set(digests.values())) == 1,
     }
 
 
-def validate(payload, require_speedup=False, min_speedup=1.8):
+def validate(payload):
     """Schema/invariant problems with a fleetbench artifact (empty list
     = valid).  The speedup gate applies when the recording host had >=4
-    CPUs (or ``require_speedup``); determinism is gated unconditionally.
+    CPUs; determinism is gated unconditionally.
     """
     problems = check_schema(payload, SCHEMA,
                             required=("host", "job_count",
@@ -143,12 +130,10 @@ def validate(payload, require_speedup=False, min_speedup=1.8):
         problems.append("determinism_ok is false")
     cpus = (payload.get("host") or {}).get("cpu_count", 1)
     four = next((e for e in series if e.get("workers") == 4), None)
-    if require_speedup and four is None:
-        problems.append("no 4-worker entry to gate speedup on")
-    elif four is not None and (require_speedup or cpus >= 4):
-        if (four.get("speedup_vs_1") or 0) < min_speedup:
+    if four is not None and cpus >= 4:
+        if (four.get("speedup_vs_1") or 0) < MIN_SPEEDUP:
             problems.append("4-worker speedup %.2fx < %.1fx (host cpus=%d)"
-                            % (four.get("speedup_vs_1") or 0, min_speedup,
+                            % (four.get("speedup_vs_1") or 0, MIN_SPEEDUP,
                                cpus))
     return problems
 
@@ -176,13 +161,5 @@ def render(payload):
     return table.render()
 
 
-def write_payload(payload, path):
-    tmp = "%s.tmp" % path
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-
-
-__all__ = ["SCHEMA", "build_bench_jobs", "generate", "host_info", "render",
-           "validate", "write_payload"]
+__all__ = ["MIN_SPEEDUP", "SCHEMA", "build_bench_jobs", "generate", "render",
+           "validate"]

@@ -18,14 +18,14 @@ the fleet plane and gates on the robustness claims:
 
 The artifact (schema ``kivati-fuzzbench/v1``) is committed as
 ``BENCH_fuzz.json``; ``validate`` is the CI gate.  A ``smoke`` artifact
-(CI-sized campaign) proves the machinery; the committed full artifact
+(CI-sized campaign, archived into a fresh temp dir) proves the
+machinery; the committed full artifact (archived into ``FULL_CORPUS``)
 proves the rates.
 """
 
-import json
-import os
+import tempfile
 
-from repro.bench.schema import check_schema
+from repro.bench.schema import check_schema, progress
 from repro.bench.render import Table
 from repro.fuzz.archive import load_corpus
 from repro.fuzz.campaign import CampaignSpec, run_campaign
@@ -44,6 +44,9 @@ FULL = dict(n_programs=200, base_seed=1, workers=4, drill_every=10,
 #: the CI smoke shape — small, deterministic, still end-to-end
 SMOKE = dict(n_programs=10, base_seed=1, workers=0, drill_every=5,
              minimize_tests=60)
+#: where full campaigns archive their divergences (relative to the
+#: repo root, as the committed artifact records it)
+FULL_CORPUS = "fuzz_corpus"
 
 
 def _archived_rows(corpus_dir, names):
@@ -69,12 +72,20 @@ def _archived_rows(corpus_dir, names):
     return rows
 
 
-def generate(smoke=False, corpus_dir=None, log=None, **overrides):
-    """Run the campaign and return the artifact dict."""
-    shape = dict(SMOKE if smoke else FULL)
-    shape.update(overrides)
+def generate(smoke=False):
+    """Run the campaign and return the artifact dict.  Full runs archive
+    their divergences into ``FULL_CORPUS``; smoke runs into a temp dir
+    that is removed once the archived cases have been read."""
+    if not smoke:
+        return _generate(FULL_CORPUS, smoke)
+    with tempfile.TemporaryDirectory(prefix="kivati-fuzzbench-") as tmp:
+        return _generate(tmp, smoke)
+
+
+def _generate(corpus_dir, smoke):
+    shape = SMOKE if smoke else FULL
     spec = CampaignSpec(corpus_dir=corpus_dir, **shape)
-    result = run_campaign(spec, log=log)
+    result = run_campaign(spec, log=progress)
     payload = result.as_payload()
     fixes = payload.pop("fixes")
     verified = sum(1 for f in fixes if f["verified"])
@@ -87,8 +98,7 @@ def generate(smoke=False, corpus_dir=None, log=None, **overrides):
         "smoke": bool(smoke),
         "spec": {"corpus_dir": corpus_dir, **shape},
         "campaign": payload,
-        "cases": (_archived_rows(corpus_dir, result.archived)
-                  if corpus_dir else []),
+        "cases": _archived_rows(corpus_dir, result.archived),
         "fixes": {
             "attempted": len(fixes),
             "verified": verified,
@@ -103,7 +113,8 @@ def generate(smoke=False, corpus_dir=None, log=None, **overrides):
 
 def validate(payload):
     """Schema/invariant problems with a fuzzbench artifact (empty list
-    = valid)."""
+    = valid); the bars are this module's constants, not the artifact's
+    echoes of them."""
     problems = check_schema(payload, SCHEMA)
     if not isinstance(payload, dict):
         return problems
@@ -123,16 +134,17 @@ def validate(payload):
     if fleet.get("verification_failures"):
         problems.append("%d fleet verification failure(s)"
                         % fleet["verification_failures"])
-    limit = payload.get("max_repro_lines", MAX_REPRO_LINES)
     for row in payload.get("cases") or []:
         if row.get("missing"):
             problems.append("archived case %s missing from corpus"
                             % row["case"])
-        elif row.get("lines") is not None and row["lines"] > limit:
+        elif (row.get("lines") is not None
+              and row["lines"] > MAX_REPRO_LINES):
             problems.append("case %s minimized to %d lines, limit %d"
-                            % (row["case"], row["lines"], limit))
+                            % (row["case"], row["lines"], MAX_REPRO_LINES))
     fixes = payload.get("fixes") or {}
-    want_rate = payload.get("min_fix_rate", MIN_FIX_RATE)
+    # smoke campaigns gate on "at least one verified fix" instead
+    want_rate = 0.0 if smoke else MIN_FIX_RATE
     rate = fixes.get("rate")
     if fixes.get("attempted"):
         if rate is None or rate < want_rate:
@@ -174,14 +186,6 @@ def render(payload):
     return table.render()
 
 
-def write_payload(payload, path):
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-
-
-__all__ = ["FULL", "MAX_REPRO_LINES", "MIN_FIX_RATE", "MIN_PROGRAMS",
-           "SCHEMA", "SMOKE", "generate", "render", "validate",
-           "write_payload"]
+__all__ = ["FULL", "FULL_CORPUS", "MAX_REPRO_LINES", "MIN_FIX_RATE",
+           "MIN_PROGRAMS", "SCHEMA", "SMOKE", "generate", "render",
+           "validate"]

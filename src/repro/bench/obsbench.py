@@ -27,8 +27,8 @@ This benchmark measures and gates exactly those claims:
 
 The artifact (schema ``kivati-obsbench/v1``) is committed as
 ``BENCH_obs.json``; ``validate`` is the CI gate.  A ``smoke`` artifact
-(CI-sized, relaxed overhead budget) proves the machinery runs — shared
-CI runners cannot honestly gate a 5% timing claim.
+(CI-sized, overhead budget ``SMOKE_BUDGET``) proves the machinery runs —
+shared CI runners cannot honestly gate a 5% timing claim.
 """
 
 import hashlib
@@ -46,7 +46,7 @@ from repro.core.config import KivatiConfig
 from repro.core.session import ProtectedProgram
 from repro.fleet.jobs import app_run_jobs
 from repro.fleet.supervisor import FleetPolicy, FleetSupervisor
-from repro.journal.replay import record_run
+from repro.journal.replay import record_run, report_verdicts
 from repro.obs import ObsPlane, compare_artifacts
 from repro.workloads.bugs import BUGS
 from repro.workloads.catalog import workload_suite
@@ -54,6 +54,8 @@ from repro.workloads.catalog import workload_suite
 SCHEMA = "kivati-obsbench/v1"
 #: obs-on may cost at most this fraction of obs-off instructions/sec
 BUDGET = 0.05
+#: the smoke budget: CI runners are too noisy for a timing claim
+SMOKE_BUDGET = 1.0
 #: paired measurement rounds per app (each round = one off + one on run)
 DEFAULT_ROUNDS = 10
 DEFAULT_SCALE = 0.2
@@ -117,13 +119,6 @@ def overhead_series(scale=DEFAULT_SCALE, rounds=DEFAULT_ROUNDS, seed=0):
             "clock": "process_time", "estimator": "median-paired-ratio"}
 
 
-def _violation_multiset(report):
-    return sorted(
-        (r.ar_id, r.local_tid, r.remote_tid, r.first_kind, r.remote_kind,
-         r.second_kind, bool(r.prevented))
-        for r in report.violations)
-
-
 def corpus_transparency(bug_ids=None, seeds=CORPUS_SEEDS):
     """Violation-verdict multisets obs-off vs obs-on, per bug and seed,
     under the detection configuration."""
@@ -135,7 +130,7 @@ def corpus_transparency(bug_ids=None, seeds=CORPUS_SEEDS):
             base = program.run(corpus_config(seed=seed))
             obs = program.run(corpus_config(seed=seed, obs=ObsPlane()))
             checked += 1
-            if _violation_multiset(base) != _violation_multiset(obs):
+            if report_verdicts(base) != report_verdicts(obs):
                 diffs.append({"bug": bug_id, "seed": seed})
     return {"runs_checked": checked, "diffs": diffs,
             "identical": not diffs}
@@ -146,7 +141,7 @@ def _report_digest(report, recorder):
     final simulated time, and the journal event stream."""
     payload = {
         "stats": report.stats.as_dict(),
-        "violations": _violation_multiset(report),
+        "violations": report_verdicts(report),
         "time_ns": report.result.time_ns,
         "instr_count": report.result.instr_count,
         "events": [(e.seq, e.time_ns, e.tid, e.kind,
@@ -282,26 +277,23 @@ def hot_profile(scale=DEFAULT_SCALE, seed=0, top=5):
     return rows
 
 
-def generate(scale=DEFAULT_SCALE, rounds=DEFAULT_ROUNDS, smoke=False):
+def generate(smoke=False):
     """Run the full benchmark; returns the artifact dict.
 
     ``smoke`` shrinks everything (fewer rounds, reduced scale, a 3-bug
     corpus slice) and relaxes the overhead budget — a smoke artifact
     proves transparency and determinism, not the timing claim.
     """
-    corpus_bugs = None
-    corpus_seeds = CORPUS_SEEDS
-    budget = BUDGET
     if smoke:
-        scale = min(scale, 0.15)
-        rounds = min(rounds, 4)
-        corpus_bugs = sorted(BUGS)[:3]
-        corpus_seeds = (0,)
-        budget = 1.0
+        scale, rounds = 0.15, 4
+        corpus_bugs, corpus_seeds = sorted(BUGS)[:3], (0,)
+    else:
+        scale, rounds = DEFAULT_SCALE, DEFAULT_ROUNDS
+        corpus_bugs, corpus_seeds = None, CORPUS_SEEDS
     return {
         "schema": SCHEMA,
         "smoke": bool(smoke),
-        "budget": budget,
+        "budget": SMOKE_BUDGET if smoke else BUDGET,
         "overhead": overhead_series(scale=scale, rounds=rounds),
         "verdicts": corpus_transparency(bug_ids=corpus_bugs,
                                         seeds=corpus_seeds),
@@ -314,15 +306,15 @@ def generate(scale=DEFAULT_SCALE, rounds=DEFAULT_ROUNDS, smoke=False):
 
 def validate(payload):
     """Schema/invariant problems with an obsbench artifact (empty list
-    = valid).  The overhead gate uses the artifact's own ``budget``
-    (relaxed for smoke artifacts)."""
+    = valid).  The overhead gate is ``BUDGET`` (``SMOKE_BUDGET`` for
+    smoke artifacts)."""
     problems = check_schema(payload, SCHEMA,
                             required=("budget", "overhead", "verdicts",
                                       "digests", "determinism",
                                       "sentinel"))
     if not isinstance(payload, dict):
         return problems
-    budget = payload.get("budget", BUDGET)
+    budget = SMOKE_BUDGET if payload.get("smoke") else BUDGET
     overhead = payload.get("overhead") or {}
     apps = overhead.get("apps")
     if not isinstance(apps, list) or not apps:
@@ -385,15 +377,7 @@ def render(payload):
     return table.render()
 
 
-def write_payload(payload, path):
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-
-
 __all__ = ["BUDGET", "CORPUS_SEEDS", "SCHEMA", "corpus_transparency",
            "digest_identity", "export_determinism", "generate",
            "hot_profile", "overhead_series", "render",
-           "sentinel_selfcheck", "validate", "write_payload"]
+           "sentinel_selfcheck", "validate"]

@@ -1,29 +1,41 @@
-"""Shared bench-artifact schema checking (`kivati bench validate`).
+"""The bench-plane contract (`kivati bench run` / `kivati bench validate`).
 
-Every bench plane commits a ``BENCH_*.json`` artifact whose
-``validate(payload)`` starts with the same structural preamble (is it
-an object, does ``schema`` match, are the top-level keys there) — until
-this module, each smoke job in CI re-rolled that check by hand. The
-preamble now lives in :func:`check_schema`, and this module keeps the
-registry mapping committed artifact filenames and schema strings to
-their validators so ``kivati bench validate [--all]`` (and the CI smoke
-jobs) can validate any artifact without knowing which plane owns it.
+Every bench plane is one module exposing four names:
+
+- ``SCHEMA`` — the artifact's schema string;
+- ``generate(smoke=False, ...)`` — runs the plane and returns the
+  artifact dict; ``smoke`` picks the module's own CI-sized shape;
+- ``validate(payload)`` — the problem list (empty = valid), gated on
+  the module's own constants; ``payload["smoke"]`` picks the relaxed
+  set, so an edited artifact cannot lower its own bar;
+- ``render(payload)`` — the human-readable table.
+
+:data:`PLANES` registers them; the committed artifact of plane ``P`` is
+always ``BENCH_P.json``.  This module also holds the only code the
+planes share: the structural preamble of every ``validate``
+(:func:`check_schema`), the atomic artifact write, the host record and
+the progress line long-running planes print to stderr.
 """
 
 import importlib
 import json
 import os
+import sys
 
-#: committed artifact filename -> owning bench module (lazy import —
-#: bench modules are heavy and validation must stay cheap)
-ARTIFACT_MODULES = {
-    "BENCH_fleet.json": "repro.bench.fleetbench",
-    "BENCH_service.json": "repro.bench.servicebench",
-    "BENCH_conflict.json": "repro.bench.conflictbench",
-    "BENCH_fuzz.json": "repro.bench.fuzzbench",
-    "BENCH_checker.json": "repro.bench.checkerbench",
-    "BENCH_obs.json": "repro.bench.obsbench",
+#: plane name -> owning bench module (lazy import — bench modules are
+#: heavy and validation must stay cheap)
+PLANES = {
+    "checker": "repro.bench.checkerbench",
+    "conflict": "repro.bench.conflictbench",
+    "fleet": "repro.bench.fleetbench",
+    "fuzz": "repro.bench.fuzzbench",
+    "obs": "repro.bench.obsbench",
+    "service": "repro.bench.servicebench",
 }
+
+
+def plane_module(plane):
+    return importlib.import_module(PLANES[plane])
 
 
 def check_schema(payload, schema, required=()):
@@ -46,13 +58,34 @@ def check_schema(payload, schema, required=()):
     return problems
 
 
+def host():
+    """The recording host, as artifacts store it (timing gates are
+    conditioned on ``cpu_count``)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = os.cpu_count() or 1
+    return {"cpu_count": cpus, "pid_start_method_default": "spawn"}
+
+
+def progress(message):
+    """One progress line on stderr (stdout carries the rendered table)."""
+    print(message, file=sys.stderr, flush=True)
+
+
+def write_artifact(payload, path):
+    """Write ``payload`` as canonical JSON to ``path`` atomically."""
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    with open(tmp, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+    os.replace(tmp, path)
+
+
 def known_schemas():
     """schema string -> bench module name, for dispatch by payload."""
-    out = {}
-    for module_name in sorted(set(ARTIFACT_MODULES.values())):
-        module = importlib.import_module(module_name)
-        out[module.SCHEMA] = module_name
-    return out
+    return {plane_module(plane).SCHEMA: PLANES[plane]
+            for plane in sorted(PLANES)}
 
 
 def validate_artifact(payload):
@@ -68,17 +101,22 @@ def validate_artifact(payload):
     return importlib.import_module(module_name).validate(payload)
 
 
-def validate_file(path):
-    """Validate one artifact file; unreadable/unparseable files are a
+def _load(path):
+    """``(payload, problems)``: unreadable/unparseable files are a
     problem, not an exception."""
     try:
         with open(path) as f:
-            payload = json.load(f)
+            return json.load(f), []
     except OSError as exc:
-        return ["cannot read %s: %s" % (path, exc)]
+        return None, ["cannot read %s: %s" % (path, exc)]
     except ValueError as exc:
-        return ["%s is not valid JSON: %s" % (path, exc)]
-    return validate_artifact(payload)
+        return None, ["%s is not valid JSON: %s" % (path, exc)]
+
+
+def validate_file(path):
+    """Validate one artifact file."""
+    payload, problems = _load(path)
+    return problems or validate_artifact(payload)
 
 
 def committed_artifacts(root="."):
@@ -90,14 +128,21 @@ def committed_artifacts(root="."):
 
 def validate_committed(root="."):
     """Validate every committed artifact; returns an ordered
-    ``{filename: problems}`` dict (a file missing its registry entry is
-    still validated, by payload schema)."""
+    ``{filename: problems}`` dict.  A committed artifact carries a
+    plane's full-size claim, so one recorded as a smoke run is itself a
+    problem (smoke artifacts pass ``validate`` on the relaxed gates)."""
     report = {}
     for name in committed_artifacts(root):
-        report[name] = validate_file(os.path.join(root, name))
+        payload, problems = _load(os.path.join(root, name))
+        if not problems:
+            problems = validate_artifact(payload)
+            if isinstance(payload, dict) and payload.get("smoke"):
+                problems.append("committed artifact is a smoke run")
+        report[name] = problems
     return report
 
 
-__all__ = ["ARTIFACT_MODULES", "check_schema", "committed_artifacts",
-           "known_schemas", "validate_artifact", "validate_committed",
-           "validate_file"]
+__all__ = ["PLANES", "check_schema", "committed_artifacts",
+           "host", "known_schemas", "plane_module", "progress",
+           "validate_artifact", "validate_committed", "validate_file",
+           "write_artifact"]

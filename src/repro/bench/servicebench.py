@@ -15,7 +15,7 @@ runs it:
   serving story" costs), measured in ``WARM_COLD_PAIRS`` alternating
   warm/cold pairs. The speedup is the median of the per-pair cold/warm
   ratios (host-speed drift hits both halves of a pair alike), and the
-  warm pool must win by >= 5x.
+  warm pool must win by >= ``MIN_SPEEDUP``x.
 - **determinism gate (unconditional)** — the 5-app suite submitted
   through the service must be digest-equal to the serial inline
   reference; concurrency and recovery change wall-clock only, never
@@ -30,15 +30,13 @@ runs it:
   the artifact.
 """
 
-import json
 import os
 import random
 import statistics
 import threading
 import time
 
-from repro.bench.schema import check_schema
-from repro.bench.fleetbench import host_info
+from repro.bench.schema import check_schema, host
 from repro.bench.render import Table
 from repro.bench.scale import bench_config
 from repro.core.config import Mode
@@ -50,6 +48,8 @@ from repro.service.daemon import KivatiDaemon, ServicePolicy
 
 SCHEMA = "kivati-servicebench/v1"
 DEFAULT_RATES = (4.0, 8.0, 16.0)
+#: arrival-schedule and chaos-drill seed
+SEED = 7
 #: alternating warm/cold pairs behind the speedup median: fewer lets
 #: one slow (or fast) spawn decide the warm-pool gate outright
 WARM_COLD_PAIRS = 9
@@ -196,9 +196,8 @@ def _inline_digests(specs):
     return sorted(r.digest() for r in result.results.values())
 
 
-def generate(workers=2, rates=DEFAULT_RATES, requests_per_rate=30,
-             scale=0.05, seed=7, start_method="spawn", verify=True,
-             smoke=False):
+def generate(smoke=False, workers=2, rates=DEFAULT_RATES,
+             requests_per_rate=30, scale=0.05, start_method="spawn"):
     """Run the full benchmark; returns the artifact dict."""
     if smoke:
         requests_per_rate = min(requests_per_rate, 8)
@@ -214,7 +213,7 @@ def generate(workers=2, rates=DEFAULT_RATES, requests_per_rate=30,
     socket_path = os.path.join(tempfile.mkdtemp(prefix="kivati-svcbench-"),
                                "kivati.sock")
     policy = ServicePolicy(
-        workers=workers, start_method=start_method, verify=verify,
+        workers=workers, start_method=start_method, verify=True,
         warm_sources=warm_sources, retry_backoff_s=0.02,
         default_deadline_s=120.0, poll_s=0.005,
         pressure=PressurePolicy(suspended_watermark=2))
@@ -222,7 +221,7 @@ def generate(workers=2, rates=DEFAULT_RATES, requests_per_rate=30,
     daemon.start()
     try:
         payload = _generate_against(daemon, socket_path, config, rates,
-                                    requests_per_rate, suite_specs, seed)
+                                    requests_per_rate, suite_specs, SEED)
     finally:
         daemon.initiate_drain("servicebench done")
         drained = daemon.wait_drained(timeout=60.0)
@@ -230,11 +229,12 @@ def generate(workers=2, rates=DEFAULT_RATES, requests_per_rate=30,
                         "socket_removed": not os.path.exists(socket_path)}
     payload["workers"] = workers
     payload["start_method"] = start_method
-    payload["verify"] = verify
+    payload["verify"] = True
     payload["scale"] = scale
-    payload["seed"] = seed
-    payload["host"] = host_info()
+    payload["seed"] = SEED
+    payload["host"] = host()
     payload["schema"] = SCHEMA
+    payload["smoke"] = bool(smoke)
     payload["stats"] = daemon.stats.as_dict()
     return payload
 
@@ -381,22 +381,24 @@ def _chaos_drill(daemon, socket_path, config, seed, n_requests=8,
 # validation / rendering / artifact
 # ----------------------------------------------------------------------
 
+#: warm-vs-cold p50 speedup the warm pool must reach
+MIN_SPEEDUP = 5.0
 #: warm-pool floor on hosts with a single CPU, where the warm request,
 #: the verifier thread and the benchmark harness all contend for one
 #: core and warm p50 inflates by host-scheduler noise
 RELAXED_MIN_SPEEDUP = 2.0
 
 
-def validate(payload, min_speedup=5.0, require_speedup=False):
+def validate(payload):
     """Schema/invariant problems (empty list = valid).
 
     Correctness gates (lost requests, digests, poison, drain) are
-    unconditional.  The warm-pool >=``min_speedup`` gate mirrors the
+    unconditional.  The warm-pool >=``MIN_SPEEDUP`` gate mirrors the
     fleetbench pattern: it applies in full when the recording host had
-    >=2 CPUs (or ``require_speedup`` forces it); a 1-CPU host — where
-    warm latency is dominated by contention with the benchmark itself —
-    is held to :data:`RELAXED_MIN_SPEEDUP` instead, so the gate tests
-    the serving story, not the host's timing margin."""
+    >=2 CPUs; a 1-CPU host — where warm latency is dominated by
+    contention with the benchmark itself — is held to
+    :data:`RELAXED_MIN_SPEEDUP` instead, so the gate tests the serving
+    story, not the host's timing margin."""
     problems = check_schema(payload, SCHEMA,
                             required=("host", "workers", "rates",
                                       "warm_cold", "determinism",
@@ -421,8 +423,7 @@ def validate(payload, min_speedup=5.0, require_speedup=False):
     warm_cold = payload.get("warm_cold") or {}
     speedup = warm_cold.get("speedup_p50") or 0
     cpus = (payload.get("host") or {}).get("cpu_count", 1)
-    want = (min_speedup if require_speedup or cpus >= 2
-            else min(min_speedup, RELAXED_MIN_SPEEDUP))
+    want = MIN_SPEEDUP if cpus >= 2 else RELAXED_MIN_SPEEDUP
     if speedup < want:
         problems.append("warm pool p50 speedup %.2fx < %.1fx (host cpus=%d)"
                         % (speedup, want, cpus))
@@ -485,14 +486,6 @@ def render(payload):
     return "\n".join(lines)
 
 
-def write_payload(payload, path):
-    tmp = "%s.tmp" % path
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
-
-
-__all__ = ["DEFAULT_RATES", "MICRO_SOURCE", "SCHEMA", "generate",
-           "measure_cold", "micro_spec", "percentile", "render",
-           "response_digest", "run_swarm", "validate", "write_payload"]
+__all__ = ["DEFAULT_RATES", "MICRO_SOURCE", "MIN_SPEEDUP", "SCHEMA",
+           "generate", "measure_cold", "micro_spec", "percentile", "render",
+           "response_digest", "run_swarm", "validate"]

@@ -4,7 +4,6 @@ Commands::
 
     kivati annotate FILE          print the annotated program and AR table
     kivati lint FILE...           static lock-discipline diagnostics
-    kivati conflict bench         conflict-sched benchmark (BENCH_conflict.json)
     kivati run FILE               run FILE under Kivati and report
     kivati vanilla FILE           run FILE without instrumentation
     kivati bugs [ID...]           run the Table 6 detection campaign
@@ -20,20 +19,18 @@ Commands::
     kivati fleet run              shard the app suite over worker processes
     kivati fleet check            check every journal a fleet batch produced
     kivati fleet train            federated whitelist training over shards
-    kivati fleet bench            fleet throughput benchmark (BENCH_fleet.json)
     kivati fuzz gen               emit one generated mini-C program
     kivati fuzz run               fuzz campaign through the fleet
     kivati fuzz minimize FILE     ddmin-shrink a diverging program
     kivati fuzz fix FILE          synthesize + verify a fix for a violation
-    kivati fuzz bench             fuzz-campaign benchmark (BENCH_fuzz.json)
     kivati serve                  long-lived warm-worker detection daemon
     kivati service ping|stats|events|drain   operate a running daemon
     kivati service run FILE       submit one detection job to the daemon
-    kivati service bench          sustained-traffic bench (BENCH_service.json)
     kivati obs report FILE        VM hot-path profile of one run
     kivati obs export             Chrome/Perfetto trace from a run/journal
     kivati obs diff BASE NEW      perf-regression sentinel over artifacts
-    kivati obs bench              obs overhead benchmark (BENCH_obs.json)
+    kivati bench run PLANE        run one bench plane (BENCH_<plane>.json):
+                                  checker, conflict, fleet, fuzz, obs, service
     kivati bench validate         schema-check BENCH_*.json artifacts
 
 Exit codes: 0 success; 1 invariant failure (chaos divergence, replay
@@ -343,22 +340,6 @@ def cmd_check(args):
     from repro.errors import JournalError
     from repro.journal.checker import check_journal
 
-    if args.bench:
-        from repro.bench import checkerbench
-
-        payload = checkerbench.generate(smoke=args.smoke, log=print)
-        print(checkerbench.render(payload))
-        problems = checkerbench.validate(payload)
-        for problem in problems:
-            print("CHECKERBENCH FAIL: " + problem)
-        if args.out:
-            checkerbench.write_payload(payload, args.out)
-            print("wrote %s" % args.out)
-        return 1 if problems else 0
-    if not args.journal:
-        print("error: a journal path is required (or --bench)",
-              file=sys.stderr)
-        return 2
     try:
         result = check_journal(args.journal)
     except JournalError as exc:
@@ -558,50 +539,6 @@ def cmd_fleet_train(args):
     return status
 
 
-def cmd_fleet_bench(args):
-    from repro.bench import fleetbench
-
-    workers_list = tuple(args.workers) if args.workers \
-        else fleetbench.DEFAULT_WORKERS
-    scale = args.scale
-    seeds = fleetbench.DEFAULT_SEEDS
-    if args.smoke:
-        workers_list = tuple(w for w in workers_list if w <= 2) or (1, 2)
-        scale = min(scale, 0.25)
-        seeds = seeds[:1]
-    payload = fleetbench.generate(workers_list=workers_list, scale=scale,
-                                  seeds=seeds,
-                                  start_method=args.start_method,
-                                  crash_drill=args.crash_drill)
-    print(fleetbench.render(payload))
-    problems = fleetbench.validate(payload,
-                                   require_speedup=args.assert_speedup)
-    for problem in problems:
-        print("FLEETBENCH FAIL: " + problem)
-    if args.out:
-        fleetbench.write_payload(payload, args.out)
-        print("wrote %s" % args.out)
-    return 1 if problems else 0
-
-
-def cmd_conflict_bench(args):
-    from repro.bench import conflictbench
-
-    seeds = (tuple(args.seeds) if args.seeds
-             else conflictbench.DEFAULT_SEEDS)
-    payload = conflictbench.generate(scale=args.scale, seeds=seeds,
-                                     num_cores=args.cores,
-                                     smoke=args.smoke)
-    print(conflictbench.render(payload))
-    problems = conflictbench.validate(payload)
-    for problem in problems:
-        print("CONFLICTBENCH FAIL: " + problem)
-    if args.out:
-        conflictbench.write_payload(payload, args.out)
-        print("wrote %s" % args.out)
-    return 1 if problems else 0
-
-
 def cmd_fuzz_gen(args):
     import json
 
@@ -677,30 +614,6 @@ def cmd_fuzz_fix(args):
     return 0
 
 
-def cmd_fuzz_bench(args):
-    from repro.bench import fuzzbench
-
-    overrides = {}
-    if args.programs is not None:
-        overrides["n_programs"] = args.programs
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    payload = fuzzbench.generate(smoke=args.smoke, corpus_dir=args.corpus,
-                                 log=print, **overrides)
-    print(fuzzbench.render(payload))
-    problems = fuzzbench.validate(payload)
-    for problem in problems:
-        print("FUZZBENCH FAIL: " + problem)
-    if args.out:
-        fuzzbench.write_payload(payload, args.out)
-        print("wrote %s" % args.out)
-    if problems:
-        return 1
-    if args.strict and payload["campaign"]["archived"]:
-        return 3
-    return 0
-
-
 def cmd_serve(args):
     from repro.service import KivatiDaemon, ServicePolicy
 
@@ -764,25 +677,6 @@ def cmd_service(args):
         return 0 if response.get("ok") else 1
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0 if response.get("ok") else 1
-
-
-def cmd_service_bench(args):
-    from repro.bench import servicebench
-
-    rates = tuple(args.rates) if args.rates else servicebench.DEFAULT_RATES
-    payload = servicebench.generate(
-        workers=args.workers, rates=rates,
-        requests_per_rate=args.requests, scale=args.scale, seed=args.seed,
-        start_method=args.start_method, smoke=args.smoke)
-    print(servicebench.render(payload))
-    problems = servicebench.validate(payload, min_speedup=args.min_speedup,
-                                     require_speedup=args.assert_speedup)
-    for problem in problems:
-        print("SERVICEBENCH FAIL: " + problem)
-    if args.out:
-        servicebench.write_payload(payload, args.out)
-        print("wrote %s" % args.out)
-    return 1 if problems else 0
 
 
 def cmd_apps(args):
@@ -876,17 +770,17 @@ def cmd_obs_diff(args):
     return 0 if report.ok else 3
 
 
-def cmd_obs_bench(args):
-    from repro.bench import obsbench
+def cmd_bench_run(args):
+    from repro.bench.schema import plane_module, write_artifact
 
-    payload = obsbench.generate(scale=args.scale, rounds=args.rounds,
-                                smoke=args.smoke)
-    print(obsbench.render(payload))
-    problems = obsbench.validate(payload)
+    module = plane_module(args.plane)
+    payload = module.generate(smoke=args.smoke)
+    print(module.render(payload))
+    problems = module.validate(payload)
     for problem in problems:
-        print("OBSBENCH FAIL: " + problem)
+        print("BENCH %s FAIL: %s" % (args.plane, problem))
     if args.out:
-        obsbench.write_payload(payload, args.out)
+        write_artifact(payload, args.out)
         print("wrote %s" % args.out)
     return 1 if problems else 0
 
@@ -923,23 +817,14 @@ def cmd_bench_validate(args):
 
 
 def main(argv=None):
+    from repro.bench.schema import PLANES
+
     parser = argparse.ArgumentParser(
         prog="kivati",
         description="Kivati reproduction: detect and prevent atomicity "
                     "violations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cores", type=int, default=2)
-        p.add_argument("--watchpoints", type=int, default=4)
-        p.add_argument("--opt", default="optimized",
-                       choices=[level.value for level in OptLevel])
-        p.add_argument("--bug-finding", action="store_true")
-        p.add_argument("--trace", action="store_true",
-                       help="print the journal's event timeline (the "
-                            "forensic view around the first violation)")
 
     p = sub.add_parser("annotate", help="print the annotated program")
     p.add_argument("file")
@@ -968,7 +853,15 @@ def main(argv=None):
 
     p = sub.add_parser("run", help="run a program under Kivati")
     p.add_argument("file")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cores", type=int, default=2)
+    p.add_argument("--watchpoints", type=int, default=4)
+    p.add_argument("--opt", default="optimized",
+                   choices=[level.value for level in OptLevel])
+    p.add_argument("--bug-finding", action="store_true")
+    p.add_argument("--trace", action="store_true",
+                   help="print the journal's event timeline (the "
+                        "forensic view around the first violation)")
     p.add_argument("--journal", metavar="PATH",
                    help="record a crash-safe replayable journal to PATH")
     p.add_argument("--strict", action="store_true",
@@ -977,7 +870,8 @@ def main(argv=None):
 
     p = sub.add_parser("vanilla", help="run a program uninstrumented")
     p.add_argument("file")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cores", type=int, default=2)
     p.set_defaults(fn=cmd_vanilla)
 
     p = sub.add_parser("bugs", help="run the bug-detection campaign")
@@ -1045,20 +939,12 @@ def main(argv=None):
         "check",
         help="streaming offline checker: re-derive every verdict from a "
              "journal without re-execution (corruption-tolerant)")
-    p.add_argument("journal", nargs="?",
-                   help="journal file (may be damaged)")
+    p.add_argument("journal", help="journal file (may be damaged)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 unless the journal is intact and every "
                         "verdict agrees (partial coverage fails)")
     p.add_argument("--json", action="store_true",
                    help="print the full machine-readable check payload")
-    p.add_argument("--bench", action="store_true",
-                   help="run the checker benchmark (BENCH_checker.json) "
-                        "instead of checking a journal")
-    p.add_argument("--smoke", action="store_true",
-                   help="CI-sized --bench run (timing gates relaxed)")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="write the --bench artifact here")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("fleet",
@@ -1128,46 +1014,6 @@ def main(argv=None):
                     help="assert federated == serial training")
     fp.set_defaults(fn=cmd_fleet_train)
 
-    fp = fleet_sub.add_parser(
-        "bench", help="fleet throughput benchmark (BENCH_fleet.json)")
-    fp.add_argument("--workers", type=int, nargs="*", default=None,
-                    help="worker counts to sweep (default: 1 2 4)")
-    fp.add_argument("--start-method", default="spawn",
-                    choices=["spawn", "fork", "forkserver"])
-    fp.add_argument("--scale", type=float, default=0.6,
-                    help="per-thread work scale factor")
-    fp.add_argument("--crash-drill", action="store_true",
-                    help="include a worker kill + recovery in the "
-                         "measured run")
-    fp.add_argument("--smoke", action="store_true",
-                    help="CI-sized: workers <= 2, reduced scale")
-    fp.add_argument("--assert-speedup", action="store_true",
-                    help="fail unless 4 workers reach >= 1.8x jobs/sec "
-                         "(for multi-core hosts)")
-    fp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the artifact JSON to PATH")
-    fp.set_defaults(fn=cmd_fleet_bench)
-
-    p = sub.add_parser(
-        "conflict",
-        help="conflict-footprint analysis tooling")
-    conflict_sub = p.add_subparsers(dest="conflict_cmd", required=True)
-    cp = conflict_sub.add_parser(
-        "bench",
-        help="conflict-aware scheduling benchmark (BENCH_conflict.json)")
-    cp.add_argument("--scale", type=float, default=1.0,
-                    help="per-thread work scale factor")
-    cp.add_argument("--seeds", type=int, nargs="*", default=None,
-                    help="seeds to sum over (default: 0 1 2 3)")
-    cp.add_argument("--cores", type=int, default=2,
-                    help="machine cores (oversubscribed vs app threads)")
-    cp.add_argument("--smoke", action="store_true",
-                    help="CI-sized: one seed, reduced scale, 3-bug "
-                         "corpus slice, improvement gate relaxed")
-    cp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the artifact JSON to PATH")
-    cp.set_defaults(fn=cmd_conflict_bench)
-
     p = sub.add_parser("fuzz",
                        help="generative workload fuzzing of the detector")
     fuzz_sub = p.add_subparsers(dest="fuzz_cmd", required=True)
@@ -1220,22 +1066,6 @@ def main(argv=None):
     zp.add_argument("file", help="mini-C program with a confirmed violation")
     zp.add_argument("--seed", type=int, default=0)
     zp.set_defaults(fn=cmd_fuzz_fix)
-
-    zp = fuzz_sub.add_parser(
-        "bench", help="fuzz-campaign benchmark (BENCH_fuzz.json)")
-    zp.add_argument("--smoke", action="store_true",
-                    help="CI-sized campaign (10 programs, inline)")
-    zp.add_argument("--programs", type=int, default=None,
-                    help="override the campaign size")
-    zp.add_argument("--workers", type=int, default=None,
-                    help="override the fleet worker count")
-    zp.add_argument("--corpus", default=None, metavar="DIR",
-                    help="archive divergences into DIR")
-    zp.add_argument("--strict", action="store_true",
-                    help="exit 3 when any divergence was archived")
-    zp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the artifact JSON to PATH")
-    zp.set_defaults(fn=cmd_fuzz_bench)
 
     p = sub.add_parser("serve",
                        help="long-lived warm-worker detection daemon")
@@ -1305,29 +1135,6 @@ def main(argv=None):
     sp.add_argument("--job-id", default="cli-run")
     sp.set_defaults(fn=cmd_service)
 
-    sp = service_sub.add_parser(
-        "bench", help="sustained-traffic benchmark (BENCH_service.json)")
-    sp.add_argument("--workers", type=int, default=2)
-    sp.add_argument("--start-method", default="spawn",
-                    choices=["spawn", "fork", "forkserver"])
-    sp.add_argument("--rates", type=float, nargs="*", default=None,
-                    help="Poisson arrival rates in req/s (default: 4 8 16)")
-    sp.add_argument("--requests", type=int, default=30,
-                    help="requests per rate (default: 30)")
-    sp.add_argument("--scale", type=float, default=0.05,
-                    help="app-suite scale for the determinism gate")
-    sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--min-speedup", type=float, default=5.0,
-                    help="required warm-vs-cold p50 speedup")
-    sp.add_argument("--assert-speedup", action="store_true",
-                    help="hold the full speedup gate even on single-CPU "
-                         "hosts (otherwise relaxed there)")
-    sp.add_argument("--smoke", action="store_true",
-                    help="CI-sized: fewer requests and samples")
-    sp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the artifact JSON to PATH")
-    sp.set_defaults(fn=cmd_service_bench)
-
     p = sub.add_parser("obs",
                        help="observability plane: profiles, traces, "
                             "perf-regression diffs")
@@ -1373,22 +1180,17 @@ def main(argv=None):
                     help="emit the report as JSON")
     op.set_defaults(fn=cmd_obs_diff)
 
-    op = obs_sub.add_parser(
-        "bench", help="obs overhead + transparency benchmark "
-                      "(BENCH_obs.json)")
-    op.add_argument("--scale", type=float, default=0.2,
-                    help="per-thread work scale factor")
-    op.add_argument("--rounds", type=int, default=10,
-                    help="paired on/off timing rounds per app")
-    op.add_argument("--smoke", action="store_true",
-                    help="CI-sized: fewer rounds, 3-bug corpus slice, "
-                         "overhead gate relaxed")
-    op.add_argument("--out", default=None, metavar="PATH",
-                    help="write the artifact JSON to PATH")
-    op.set_defaults(fn=cmd_obs_bench)
-
     p = sub.add_parser("bench", help="benchmark-artifact tooling")
     bench_sub = p.add_subparsers(dest="bench_cmd", required=True)
+    bp = bench_sub.add_parser(
+        "run", help="run one bench plane: generate, render, validate and "
+                    "(with --out) write its artifact; exit 1 on any problem")
+    bp.add_argument("plane", choices=sorted(PLANES))
+    bp.add_argument("--smoke", action="store_true",
+                    help="the plane's CI-sized run (timing gates relaxed)")
+    bp.add_argument("--out", default=None, metavar="PATH",
+                    help="write the artifact JSON to PATH")
+    bp.set_defaults(fn=cmd_bench_run)
     bp = bench_sub.add_parser(
         "validate", help="schema-check BENCH_*.json artifacts")
     bp.add_argument("files", nargs="*",

@@ -17,6 +17,10 @@ from repro.analysis.annotate import annotate
 from repro.workloads.bugs import BUGS
 from repro.workloads.catalog import workload_suite
 
+#: repo root (the subprocesses' relative ``src`` path resolves here)
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
 _SOURCES = {
     "bug-19938": BUGS["19938"].source,
     "bug-44402": BUGS["44402"].source,
@@ -57,7 +61,7 @@ def test_stable_across_hash_seeds(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "annotate", str(src),
              "--dump-analysis", "--json"],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=_REPO_ROOT,
             check=True,
         )
         dumps.append(proc.stdout)
@@ -78,7 +82,7 @@ def test_footprint_dump_stable_across_hash_seeds(tmp_path, name):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "annotate", str(src),
              "--dump-footprints", "--json"],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=_REPO_ROOT,
             check=True,
         )
         dumps.append(proc.stdout)

@@ -1,6 +1,7 @@
 """SARIF output: payload shape, self-validation, CLI integration."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,10 @@ from repro.analysis.annotate import annotate
 from repro.analysis.diagnostics import CODES, run_diagnostics
 from repro.analysis.sarif import (RULE_DESCRIPTIONS, SARIF_VERSION,
                                   sarif_payload, validate_sarif)
+
+#: repo root (the subprocesses' relative ``src`` path resolves here)
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 RACY = """
 int x;
@@ -62,7 +67,7 @@ def test_cli_lint_sarif(tmp_path):
     src.write_text(RACY)
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "lint", "--sarif", str(src)],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=_REPO_ROOT,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
     )
     payload = json.loads(proc.stdout)

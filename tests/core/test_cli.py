@@ -40,6 +40,27 @@ def test_vanilla_command(program_file, capsys):
     assert "output: [1]" in out
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--bug-finding", "--opt=base",
+                                  "--watchpoints=2"])
+def test_vanilla_rejects_flags_it_would_ignore(program_file, flag):
+    # an uninstrumented run reads only --seed and --cores
+    with pytest.raises(SystemExit) as exc:
+        main(["vanilla", program_file, flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["check", "--bench"], ["conflict", "bench"],
+    ["fleet", "bench"], ["fuzz", "bench"], ["service", "bench"],
+    ["obs", "bench"], ["bench", "run", "martian"],
+    ["bench", "run", "fleet", "--scale", "0.1"]])
+def test_bench_planes_run_only_through_bench_run(argv):
+    # one verb, two flags: `kivati bench run PLANE [--smoke] [--out PATH]`
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_run_with_options(program_file, capsys):
     assert main(["run", program_file, "--opt", "base", "--seed", "3",
                  "--watchpoints", "2"]) == 0

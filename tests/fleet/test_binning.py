@@ -5,6 +5,7 @@ It must change only *when* jobs start — a binned 2-worker run has to
 aggregate bit-identically to the unbinned inline reference.
 """
 
+import os
 import subprocess
 import sys
 
@@ -16,6 +17,10 @@ from repro.fleet.binning import (bin_jobs_by_conflict, job_conflict_weight,
                                  run_binned_rounds, violation_history)
 from repro.fleet.jobs import app_run_jobs
 from repro.fleet.supervisor import FleetPolicy, FleetSupervisor
+
+#: repo root (the subprocesses' relative ``src`` path resolves here)
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 QUIET = """
 int x = 0;
@@ -116,7 +121,7 @@ def test_cli_fleet_run_rounds_digest_pin():
         [sys.executable, "-m", "repro.cli", "fleet", "run",
          "--seeds", "3", "--scale", "0.15", "--workers", "0",
          "--no-verify", "--rounds", "2"],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=_REPO_ROOT,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -129,7 +134,7 @@ def test_cli_fleet_run_bin_by_conflict():
         [sys.executable, "-m", "repro.cli", "fleet", "run",
          "--seeds", "3", "--scale", "0.15", "--workers", "0",
          "--no-verify", "--bin-by-conflict"],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=_REPO_ROOT,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -4,7 +4,7 @@ recovery, admission control.
 Multi-process tests use the ``fork`` start method: these workers import
 nothing lazily that fork would miss, and fork keeps the pool cheap
 enough for the tier-1 suite. The spawn path is exercised by the CI fleet
-smoke job (``kivati fleet bench --smoke``) where cold-start cost is
+smoke job (``kivati bench run fleet --smoke``) where cold-start cost is
 amortized over a full benchmark.
 """
 

@@ -63,9 +63,7 @@ void main() { spawn worker(); spawn worker(); join(); output(g0); }
 
 def test_fuzz_bench_smoke_writes_valid_artifact(tmp_path, capsys):
     out = str(tmp_path / "BENCH_fuzz.json")
-    corpus = str(tmp_path / "corpus")
-    code = main(["fuzz", "bench", "--smoke", "--corpus", corpus,
-                 "--out", out])
+    code = main(["bench", "run", "fuzz", "--smoke", "--out", out])
     capsys.readouterr()
     assert code == 0
     with open(out) as f:

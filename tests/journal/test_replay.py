@@ -16,6 +16,10 @@ from repro.journal.format import JournalWriter
 from repro.journal.replay import (first_divergence, record_run, replay_run,
                                   run_start_snapshot, verdict_multiset)
 
+#: repo root (the subprocesses' relative ``src`` path resolves here)
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
 
 @pytest.mark.parametrize("seed", [0, 3, 17])
 def test_replay_reproduces_the_event_stream(racy_program, seed):
@@ -109,7 +113,7 @@ def test_journal_bytes_identical_across_hash_seeds(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "repro.cli", "run", str(src),
              "--opt", "base", "--seed", "7", "--journal", str(path)],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=_REPO_ROOT,
             check=True)
         journals.append(path.read_bytes())
     assert journals[0] == journals[1]
@@ -118,7 +122,7 @@ def test_journal_bytes_identical_across_hash_seeds(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "replay", str(src),
          str(tmp_path / "run-0.journal")],
-        capture_output=True, text=True, env=env, cwd="/root/repo")
+        capture_output=True, text=True, env=env, cwd=_REPO_ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "DETERMINISTIC" in proc.stdout
 

@@ -1,5 +1,5 @@
 """obsbench: the cheap, deterministic pieces (the timing series runs in
-`kivati obs bench` / CI, not in the unit suite)."""
+`kivati bench run obs` / CI, not in the unit suite)."""
 
 from repro.bench import obsbench
 
@@ -56,13 +56,16 @@ def test_validate_accepts_clean_payload():
 def test_validate_gates_overhead_budget():
     row = {"app": "NSS", "instrs": 1000, "overhead_frac": 0.30,
            "base_instrs_per_sec": 100000.0, "obs_instrs_per_sec": 70000.0}
-    over = _payload(overhead={
+    over = _payload(smoke=False, overhead={
         "apps": [row], "overall_frac": 0.30, "rounds": 2,
         "clock": "process_time"})
     problems = obsbench.validate(over)
     assert any("above budget" in p for p in problems)
-    # smoke artifacts carry a relaxed budget of their own
-    relaxed = _payload(budget=1.0, overhead={
+    # an artifact cannot relax its own budget: the echoed key is ignored
+    over["budget"] = 1.0
+    assert any("above budget" in p for p in obsbench.validate(over))
+    # smoke artifacts are held to SMOKE_BUDGET instead
+    relaxed = _payload(overhead={
         "apps": [dict(row)], "overall_frac": 0.30, "rounds": 2,
         "clock": "process_time"})
     assert obsbench.validate(relaxed) == []

@@ -4,7 +4,7 @@ scenarios that change pool state (overload, drain, recycling).
 
 Workers use the ``fork`` start method for the same reason the fleet
 tests do: cheap pools for tier-1. The spawn path is exercised by the CI
-service smoke (``kivati service bench --smoke``).
+service smoke (``kivati bench run service --smoke``).
 """
 
 import os
