@@ -187,38 +187,34 @@ def synthesize_journal(path, n_events, seed=0, threads=4, slots=4):
 
 
 def scaling_series(sizes, seed=0, workdir=None):
-    """Check synthetic journals at each size; returns (rows, slope)."""
+    """Check synthetic journals at each size; returns (rows, slope).
+    Without ``workdir`` the journals go to a temp dir removed on return."""
+    if workdir is None:
+        with tempfile.TemporaryDirectory(
+                prefix="kivati-checkerbench-") as workdir:
+            return scaling_series(sizes, seed=seed, workdir=workdir)
     rows = []
-    owndir = workdir is None
-    workdir = workdir or tempfile.mkdtemp(prefix="kivati-checkerbench-")
-    try:
-        for size in sizes:
-            path = os.path.join(workdir, "synthetic-%d.journal" % size)
-            expected, written = synthesize_journal(path, size, seed=seed)
-            start = time.perf_counter()
-            result = check_journal(path)
-            elapsed = time.perf_counter() - start
-            rows.append({
-                "events": written,
-                "bytes": os.path.getsize(path),
-                "seconds": elapsed,
-                "events_per_second": written / elapsed if elapsed else 0.0,
-                "verdicts": len(result.verdicts),
-                "expected_verdicts": len(expected),
-                "sound": result.verdicts == expected,
-                "status": result.status,
-                "peak_live_regions": result.stats.live_regions_peak,
-                "peak_epochs": result.stats.live_epochs_peak,
-                "peak_retained_triggers":
-                    result.stats.retained_triggers_peak,
-            })
-            os.unlink(path)
-    finally:
-        if owndir:
-            try:
-                os.rmdir(workdir)
-            except OSError:
-                pass
+    for size in sizes:
+        path = os.path.join(workdir, "synthetic-%d.journal" % size)
+        expected, written = synthesize_journal(path, size, seed=seed)
+        start = time.perf_counter()
+        result = check_journal(path)
+        elapsed = time.perf_counter() - start
+        rows.append({
+            "events": written,
+            "bytes": os.path.getsize(path),
+            "seconds": elapsed,
+            "events_per_second": written / elapsed if elapsed else 0.0,
+            "verdicts": len(result.verdicts),
+            "expected_verdicts": len(expected),
+            "sound": result.verdicts == expected,
+            "status": result.status,
+            "peak_live_regions": result.stats.live_regions_peak,
+            "peak_epochs": result.stats.live_epochs_peak,
+            "peak_retained_triggers":
+                result.stats.retained_triggers_peak,
+        })
+        os.unlink(path)
     slope = None
     if len(rows) >= 2:
         xs = [math.log(r["events"]) for r in rows]
@@ -237,37 +233,37 @@ def scaling_series(sizes, seed=0, workdir=None):
 def speedup_section(iters=60, seed=0, runs=TIMING_RUNS):
     """Time ``check_journal`` vs ``replay_run`` on one real recording."""
     program = ProtectedProgram(RACY_TEMPLATE % {"iters": iters})
-    workdir = tempfile.mkdtemp(prefix="kivati-checkerbench-")
-    path = os.path.join(workdir, "racy.journal")
-    record_run(program, corpus_config(Mode.PREVENTION), seed=seed,
-               writer=JournalWriter(path))
-    check_times, replay_times = [], []
-    verdicts = online = None
-    for _ in range(runs):
-        start = time.perf_counter()
-        result = check_journal(path)
-        check_times.append(time.perf_counter() - start)
-        verdicts = len(result.verdicts)
-        agrees = result.agrees
-    for _ in range(runs):
-        start = time.perf_counter()
-        replay = replay_run(program, path)
-        replay_times.append(time.perf_counter() - start)
-        online = replay.ok and replay.verdicts_match
-    check_s = statistics.median(check_times)
-    replay_s = statistics.median(replay_times)
-    return {
-        "iters": iters,
-        "seed": seed,
-        "runs": runs,
-        "journal_bytes": os.path.getsize(path),
-        "check_seconds": check_s,
-        "replay_seconds": replay_s,
-        "speedup": replay_s / check_s if check_s else 0.0,
-        "checker_agrees": bool(agrees),
-        "checker_verdicts": verdicts,
-        "replay_ok": bool(online),
-    }
+    with tempfile.TemporaryDirectory(prefix="kivati-checkerbench-") as workdir:
+        path = os.path.join(workdir, "racy.journal")
+        record_run(program, corpus_config(Mode.PREVENTION), seed=seed,
+                   writer=JournalWriter(path))
+        check_times, replay_times = [], []
+        verdicts = online = None
+        for _ in range(runs):
+            start = time.perf_counter()
+            result = check_journal(path)
+            check_times.append(time.perf_counter() - start)
+            verdicts = len(result.verdicts)
+            agrees = result.agrees
+        for _ in range(runs):
+            start = time.perf_counter()
+            replay = replay_run(program, path)
+            replay_times.append(time.perf_counter() - start)
+            online = replay.ok and replay.verdicts_match
+        check_s = statistics.median(check_times)
+        replay_s = statistics.median(replay_times)
+        return {
+            "iters": iters,
+            "seed": seed,
+            "runs": runs,
+            "journal_bytes": os.path.getsize(path),
+            "check_seconds": check_s,
+            "replay_seconds": replay_s,
+            "speedup": replay_s / check_s if check_s else 0.0,
+            "checker_agrees": bool(agrees),
+            "checker_verdicts": verdicts,
+            "replay_ok": bool(online),
+        }
 
 
 # -- corruption sweep --------------------------------------------------------
@@ -292,60 +288,62 @@ def corruption_sweep(iters=8, seed=0):
     completeness.
     """
     program = ProtectedProgram(RACY_TEMPLATE % {"iters": iters})
-    workdir = tempfile.mkdtemp(prefix="kivati-checkerbench-")
-    path = os.path.join(workdir, "racy.journal")
-    record_run(program, corpus_config(Mode.PREVENTION), seed=seed,
-               writer=JournalWriter(path))
-    with open(path, "rb") as f:
-        data = f.read()
-    boundaries = _frame_boundaries(data)
-    mutant = os.path.join(workdir, "mutant.journal")
-    crashes = []
-    coverages = []
-    false_complete = 0
-    for cut in boundaries:
-        with open(mutant, "wb") as f:
-            f.write(data[:cut])
-        try:
-            result = check_journal(mutant)
-        except Exception as exc:  # the whole point: this must not happen
-            crashes.append({"op": "truncate", "offset": cut,
-                            "error": "%s: %s" % (type(exc).__name__, exc)})
-            continue
-        coverages.append(result.coverage)
-        if result.complete and cut < len(data):
-            false_complete += 1
-    flip_checked = 0
-    for boundary in boundaries:
-        if boundary >= len(data):
-            continue
-        flipped = bytearray(data)
-        flipped[boundary] ^= 0xFF
-        with open(mutant, "wb") as f:
-            f.write(bytes(flipped))
-        flip_checked += 1
-        try:
-            result = check_journal(mutant)
-        except Exception as exc:
-            crashes.append({"op": "flip", "offset": boundary,
-                            "error": "%s: %s" % (type(exc).__name__, exc)})
-            continue
-        if result.complete:
-            false_complete += 1
-    monotone = all(a <= b + 1e-12
-                   for a, b in zip(coverages, coverages[1:]))
-    return {
-        "iters": iters,
-        "seed": seed,
-        "journal_bytes": len(data),
-        "frame_boundaries": len(boundaries),
-        "truncations": len(boundaries),
-        "flips": flip_checked,
-        "crashes": crashes,
-        "coverage_monotone": monotone,
-        "false_complete": false_complete,
-        "final_coverage": coverages[-1] if coverages else None,
-    }
+    with tempfile.TemporaryDirectory(prefix="kivati-checkerbench-") as workdir:
+        path = os.path.join(workdir, "racy.journal")
+        record_run(program, corpus_config(Mode.PREVENTION), seed=seed,
+                   writer=JournalWriter(path))
+        with open(path, "rb") as f:
+            data = f.read()
+        boundaries = _frame_boundaries(data)
+        mutant = os.path.join(workdir, "mutant.journal")
+        crashes = []
+        coverages = []
+        false_complete = 0
+        for cut in boundaries:
+            with open(mutant, "wb") as f:
+                f.write(data[:cut])
+            try:
+                result = check_journal(mutant)
+            except Exception as exc:  # the whole point: must not happen
+                crashes.append({"op": "truncate", "offset": cut,
+                                "error": "%s: %s"
+                                % (type(exc).__name__, exc)})
+                continue
+            coverages.append(result.coverage)
+            if result.complete and cut < len(data):
+                false_complete += 1
+        flip_checked = 0
+        for boundary in boundaries:
+            if boundary >= len(data):
+                continue
+            flipped = bytearray(data)
+            flipped[boundary] ^= 0xFF
+            with open(mutant, "wb") as f:
+                f.write(bytes(flipped))
+            flip_checked += 1
+            try:
+                result = check_journal(mutant)
+            except Exception as exc:
+                crashes.append({"op": "flip", "offset": boundary,
+                                "error": "%s: %s"
+                                % (type(exc).__name__, exc)})
+                continue
+            if result.complete:
+                false_complete += 1
+        monotone = all(a <= b + 1e-12
+                       for a, b in zip(coverages, coverages[1:]))
+        return {
+            "iters": iters,
+            "seed": seed,
+            "journal_bytes": len(data),
+            "frame_boundaries": len(boundaries),
+            "truncations": len(boundaries),
+            "flips": flip_checked,
+            "crashes": crashes,
+            "coverage_monotone": monotone,
+            "false_complete": false_complete,
+            "final_coverage": coverages[-1] if coverages else None,
+        }
 
 
 # -- differential: checker vs online -----------------------------------------

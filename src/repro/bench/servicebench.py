@@ -33,6 +33,7 @@ runs it:
 import os
 import random
 import statistics
+import tempfile
 import threading
 import time
 
@@ -208,25 +209,23 @@ def generate(smoke=False, workers=2, rates=DEFAULT_RATES,
                                prefix="svc")
     warm_sources = [MICRO_SOURCE] + [s.source for s in suite_specs]
 
-    import tempfile
-
-    socket_path = os.path.join(tempfile.mkdtemp(prefix="kivati-svcbench-"),
-                               "kivati.sock")
     policy = ServicePolicy(
         workers=workers, start_method=start_method, verify=True,
         warm_sources=warm_sources, retry_backoff_s=0.02,
         default_deadline_s=120.0, poll_s=0.005,
         pressure=PressurePolicy(suspended_watermark=2))
-    daemon = KivatiDaemon(socket_path, policy)
-    daemon.start()
-    try:
-        payload = _generate_against(daemon, socket_path, config, rates,
-                                    requests_per_rate, suite_specs, SEED)
-    finally:
-        daemon.initiate_drain("servicebench done")
-        drained = daemon.wait_drained(timeout=60.0)
-    payload["drain"] = {"ok": bool(drained),
-                        "socket_removed": not os.path.exists(socket_path)}
+    with tempfile.TemporaryDirectory(prefix="kivati-svcbench-") as sockdir:
+        socket_path = os.path.join(sockdir, "kivati.sock")
+        daemon = KivatiDaemon(socket_path, policy)
+        daemon.start()
+        try:
+            payload = _generate_against(daemon, socket_path, config, rates,
+                                        requests_per_rate, suite_specs, SEED)
+        finally:
+            daemon.initiate_drain("servicebench done")
+            drained = daemon.wait_drained(timeout=60.0)
+        payload["drain"] = {"ok": bool(drained),
+                            "socket_removed": not os.path.exists(socket_path)}
     payload["workers"] = workers
     payload["start_method"] = start_method
     payload["verify"] = True

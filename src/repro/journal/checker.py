@@ -233,6 +233,10 @@ class StreamingChecker:
     # -- bookkeeping ----------------------------------------------------
 
     def _note_peaks(self):
+        """Raise the memory peaks to the current state.  Only ``begin``,
+        ``trigger`` and ``arm`` grow a region, an epoch or a retained
+        trigger, so only they call this; every other event can only
+        shrink the three counts."""
         live = len(self._regions) + len(self._zombies)
         if live > self.stats.live_regions_peak:
             self.stats.live_regions_peak = live
@@ -326,18 +330,21 @@ class StreamingChecker:
             epoch.refs += 1
             self._regions[key] = region
             self.stats.windows_opened += 1
+            self._note_peaks()
         elif kind == "trigger":
             epoch = self._epoch(p.get("slot"), p.get("gen"))
             epoch.triggers.append((tid, tuple(p.get("kinds", ())),
                                    event.time_ns, bool(p.get("undone"))))
             self._retained_triggers += 1
             self.stats.triggers_seen += 1
+            self._note_peaks()
         elif kind == "arm":
             slot, gen = p.get("slot"), p.get("gen")
             prev = self._slot_gen.get(slot)
             if prev is not None and gen is not None and gen > prev:
                 self._retire_epoch(slot, prev)
             self._epoch(slot, gen)
+            self._note_peaks()
         elif kind == "disarm":
             self._retire_epoch(p.get("slot"), p.get("gen"))
         elif kind == "zombify":
@@ -372,7 +379,6 @@ class StreamingChecker:
                 (p.get("ar"), tid, p.get("remote_tid"), p.get("first"),
                  p.get("remote"), p.get("second"),
                  bool(p.get("prevented"))))
-        self._note_peaks()
 
     def _note_damage(self, text):
         """A structural impossibility: an anomaly on an intact journal, an
@@ -398,6 +404,7 @@ class StreamingChecker:
         if not clean_close:
             known_missing += 1  # the tail is at least one frame short
         decoded = self._events
+        self.stats.events = decoded
         coverage = (decoded / float(decoded + known_missing)
                     if decoded else 0.0)
         complete = (clean_close and not self._missing and not head_missing
@@ -431,7 +438,6 @@ def check_events(events, corruptions=(), damaged=False):
     checker = StreamingChecker()
     for event in events:
         checker.feed(event)
-        checker.stats.events += 1
     return checker.finish(corruptions=corruptions, damaged=damaged)
 
 
@@ -449,7 +455,6 @@ def check_journal(journal):
         checker = StreamingChecker()
         for event in stream:
             checker.feed(event)
-            checker.stats.events += 1
         return checker.finish(corruptions=stream.corruptions,
                               damaged=stream.damaged)
     events, torn = events_from(journal)

@@ -27,6 +27,8 @@ Event kinds, by emitting layer:
 
 import enum
 import json
+import json.encoder
+import json.scanner
 
 from repro.errors import JournalError
 
@@ -41,6 +43,44 @@ EVENT_KINDS = frozenset((
 ))
 
 
+# -- the codec ----------------------------------------------------------------
+#
+# ``json.dumps(sort_keys=True, separators=(",", ":"))`` builds a fresh
+# encoder on every call, and ``json.loads`` re-enters the decoder's
+# Python wrapper; a journal pays both once per frame.  The C encoder and
+# scanner are bound here once, with the arguments ``JSONEncoder`` and
+# ``json.loads`` pass them, so the bytes on disk and the set of accepted
+# payloads are unchanged.  Without the ``_json`` accelerator the same
+# module-level JSONEncoder and ``json.loads`` do the work in pure Python.
+#
+# One argument differs from ``json.dumps``: circular-reference checking
+# is off.  ``dumps`` passes a fresh markers dict per call; a bound
+# encoder would share one dict across calls and threads, and an encode
+# that raises leaves its entries behind.  A circular payload still
+# fails (RecursionError instead of ValueError), and every other payload
+# encodes to the same bytes.
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
+
+if json.encoder.c_make_encoder is not None:
+    _C_ENCODE = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring_ascii,
+        _ENCODER.indent, _ENCODER.key_separator, _ENCODER.item_separator,
+        _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
+
+    def canonical_json(value):
+        """``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
+        return "".join(_C_ENCODE(value, 0))
+else:
+    canonical_json = _ENCODER.encode
+
+_SCAN = (json.scanner.c_make_scanner(json.JSONDecoder())
+         if json.scanner.c_make_scanner is not None else None)
+
+_SCALAR_TYPES = frozenset((int, str, bool, type(None)))
+
+
 def jsonable(value):
     """Coerce a payload value to a canonical JSON-safe form.
 
@@ -48,6 +88,8 @@ def jsonable(value):
     become lists (sets sorted for determinism), dicts are rebuilt with
     string keys. Anything else must already be a JSON scalar.
     """
+    if type(value) in _SCALAR_TYPES:
+        return value
     if isinstance(value, enum.Enum):
         return str(value)
     if isinstance(value, (list, tuple)):
@@ -77,7 +119,7 @@ class JournalEvent:
     def key(self):
         """Canonical comparison identity (what replay must reproduce)."""
         return (self.seq, self.time_ns, self.tid, self.kind,
-                json.dumps(self.payload, sort_keys=True))
+                canonical_json(self.payload))
 
     def describe(self):
         detail = " ".join("%s=%s" % (k, v)
@@ -99,23 +141,34 @@ class JournalEvent:
 
 def encode_event(event):
     """Canonical frame payload bytes for one event."""
-    record = [event.seq, event.time_ns, event.tid, event.kind, event.payload]
-    return json.dumps(record, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return canonical_json([event.seq, event.time_ns, event.tid, event.kind,
+                           event.payload]).encode("utf-8")
 
 
 def decode_event(data):
     """Inverse of :func:`encode_event`; raises JournalError on any
-    malformed payload (the reader treats that as a corrupt frame)."""
+    malformed payload (the reader treats that as a corrupt frame).
+
+    Accepts and rejects exactly what ``json.loads(data.decode("utf-8"))``
+    does: the bound scanner's result is kept only when it consumed the
+    whole text; anything else (surrounding whitespace, trailing data, a
+    BOM, a syntax error) is handed to ``json.loads``.
+    """
     try:
-        record = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        end = -1
+        if _SCAN is not None:
+            try:
+                record, end = _SCAN(text, 0)
+            except (StopIteration, ValueError):
+                pass
+        if end != len(text):
+            record = json.loads(text)
     except (ValueError, UnicodeDecodeError) as exc:
         raise JournalError("undecodable frame payload: %s" % exc)
-    if (not isinstance(record, list) or len(record) != 5
-            or not isinstance(record[3], str)
-            or not isinstance(record[4], dict)):
-        raise JournalError("malformed frame record: %r" % (record,))
-    seq, time_ns, tid, kind, payload = record
-    if not isinstance(seq, int) or not isinstance(tid, int):
-        raise JournalError("malformed frame record: %r" % (record,))
-    return JournalEvent(seq, time_ns, tid, kind, payload)
+    if isinstance(record, list) and len(record) == 5:
+        seq, time_ns, tid, kind, payload = record
+        if (isinstance(seq, int) and isinstance(tid, int)
+                and isinstance(kind, str) and isinstance(payload, dict)):
+            return JournalEvent(seq, time_ns, tid, kind, payload)
+    raise JournalError("malformed frame record: %r" % (record,))

@@ -94,8 +94,7 @@ class EventStream:
                 except (ValueError, OSError):
                     view = f.read()  # empty or unmappable: small anyway
             try:
-                for event in self._iter_segment(view, seg):
-                    yield event
+                yield from self._iter_segment(view, seg)
             finally:
                 if isinstance(view, mmap.mmap):
                     view.close()
@@ -115,7 +114,7 @@ class EventStream:
         start = offset + _HEADER.size
         if len(data) - start < length:
             return None, "short"
-        payload = bytes(data[start:start + length])
+        payload = data[start:start + length]
         if zlib.crc32(payload) != crc:
             return None, "bad"
         try:
@@ -140,7 +139,7 @@ class EventStream:
         if size == 0:
             return  # writer died before the magic; nothing to salvage
         offset = 0
-        if bytes(data[:len(SEGMENT_MAGIC)]) == SEGMENT_MAGIC:
+        if data[:len(SEGMENT_MAGIC)] == SEGMENT_MAGIC:
             offset = len(SEGMENT_MAGIC)
         else:
             bad_at = 0
