@@ -71,22 +71,39 @@ class WatchpointSlot:
 
 
 class DebugRegisterFile:
-    """One core's set of watchpoint slots.  ``armed``, the enabled ones,
-    is rebuilt whenever a slot changes (``adopt``, ``configure``,
-    ``disable``), so the machine's miss path is one truthiness test."""
+    """One core's set of watchpoint slots.
 
-    __slots__ = ("slots", "synced_epoch", "armed")
+    ``armed`` (the enabled slots) and the spans below are rebuilt
+    whenever a slot changes (``adopt``, ``configure``, ``disable`` are
+    the only writers of slot fields), so the machine reads them without
+    a call.  ``read_spans`` and ``write_spans`` hold one ``(lo, hi,
+    suppressed_tids)`` triple per armed slot watching that access kind:
+    an access of ``addr`` by ``tid`` hits some slot exactly when a
+    triple has ``lo <= addr < hi`` and ``suppressed_tids`` is None or
+    lacks ``tid``, i.e. when :meth:`match` would return a slot."""
+
+    __slots__ = ("slots", "synced_epoch", "armed", "read_spans",
+                 "write_spans")
 
     def __init__(self, num_slots=X86_NUM_WATCHPOINTS):
         self.slots = [WatchpointSlot(i, self) for i in range(num_slots)]
         self.synced_epoch = 0
         self.armed = ()
+        self.read_spans = ()
+        self.write_spans = ()
 
     def __len__(self):
         return len(self.slots)
 
     def rebuild_armed(self):
-        self.armed = tuple(slot for slot in self.slots if slot.enabled)
+        armed = tuple(slot for slot in self.slots if slot.enabled)
+        self.armed = armed
+        self.read_spans = tuple(
+            (slot.addr, slot.addr + slot.size, slot.suppressed_tids)
+            for slot in armed if slot.watch_read)
+        self.write_spans = tuple(
+            (slot.addr, slot.addr + slot.size, slot.suppressed_tids)
+            for slot in armed if slot.watch_write)
 
     def any_enabled(self):
         return bool(self.armed)

@@ -3,8 +3,8 @@
 Where a wall-clock sampling profiler would make run output depend on
 host speed, this profiler counts discrete, fully deterministic events:
 
-- per-opcode dispatch counts in ``Machine._execute`` — the hot-path
-  evidence the dispatch-flattening ROADMAP item needs;
+- per-opcode dispatch counts in the dispatch loop of ``Machine.run`` —
+  the hot-path evidence the dispatch-flattening ROADMAP item needs;
 - watchpoint-membership check rates in ``DebugRegisterFile.match``
   (calls, accesses probed, calls that hit, slots hit; a watchable
   instruction's check counts even when no slot is armed) — the measured

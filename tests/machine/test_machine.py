@@ -67,6 +67,23 @@ def test_step_limit_guards_infinite_loops():
         run("void main() { while (1) { } }", max_steps=10_000)
 
 
+@pytest.mark.parametrize("max_steps,passes", [(4, False), (5, True),
+                                              (6, True)])
+def test_step_limit_counts_only_instructions_that_would_run(max_steps,
+                                                            passes):
+    # the program executes exactly 5 instructions: the limit trips only
+    # when a live thread is about to execute instruction max_steps + 1
+    src = "int g; void main() { g = 1; }"
+    assert run(src)[0].instr_count == 5
+    if passes:
+        result, _ = run(src, max_steps=max_steps)
+        assert result.instr_count == 5
+    else:
+        with pytest.raises(StepLimitExceeded,
+                           match="exceeded %d instructions" % max_steps):
+            run(src, max_steps=max_steps)
+
+
 def test_more_threads_than_cores_all_complete():
     result, _ = run("""
     int done = 0;
