@@ -388,25 +388,29 @@ def _check_journal_tree(root, strict):
 
 def cmd_fleet_check(args):
     if args.journal_root:
-        root = args.journal_root
-    else:
-        from repro.bench.scale import bench_config
-        from repro.fleet import FleetPolicy, FleetSupervisor, app_run_jobs
+        return _fleet_check_tree(args.journal_root, args.strict)
+    import tempfile
 
-        config = bench_config(mode=Mode.BUG_FINDING if args.bug_finding
-                              else Mode.PREVENTION)
-        specs = app_run_jobs(config, seeds=tuple(args.seeds),
-                             scale=args.scale)
+    from repro.bench.scale import bench_config
+    from repro.fleet import FleetPolicy, FleetSupervisor, app_run_jobs
+
+    config = bench_config(mode=Mode.BUG_FINDING if args.bug_finding
+                          else Mode.PREVENTION)
+    specs = app_run_jobs(config, seeds=tuple(args.seeds), scale=args.scale)
+    with tempfile.TemporaryDirectory(prefix="kivati-fleet-") as root:
         supervisor = FleetSupervisor(
             workers=args.workers,
             policy=FleetPolicy(workers=max(1, args.workers), verify=False,
                                collect_journals=True,
-                               start_method=args.start_method))
-        fleet = supervisor.run_jobs(specs)
-        print(fleet.describe())
-        root = supervisor.journal_root()
+                               start_method=args.start_method),
+            journal_root=root)
+        print(supervisor.run_jobs(specs).describe())
+        return _fleet_check_tree(root, args.strict)
+
+
+def _fleet_check_tree(root, strict):
     print("checking journals under %s" % root)
-    checked, bad = _check_journal_tree(root, args.strict)
+    checked, bad = _check_journal_tree(root, strict)
     print("fleet check: %d journal(s), %d problem(s)" % (checked, bad))
     if checked == 0:
         print("FLEET CHECK FAIL: no journals found", file=sys.stderr)

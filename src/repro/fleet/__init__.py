@@ -11,8 +11,11 @@ service:
   wire format (config snapshots ride the journal's snapshot codec);
 - :mod:`repro.fleet.worker` — spawn-safe worker loop with a per-process
   compiled-program cache and per-job on-disk journals;
-- :mod:`repro.fleet.supervisor` — dispatch, heartbeat/exitcode crash
-  detection, torn-journal salvage + bounded retry, queue-depth
+- :mod:`repro.fleet.pool` — the worker pool (one channel per worker,
+  death seen as channel EOF or process sentinel) that both the
+  supervisor and the ``kivati serve`` daemon drive;
+- :mod:`repro.fleet.supervisor` — dispatch, crash detection,
+  torn-journal salvage + bounded retry, queue-depth
   backpressure reusing :class:`repro.pressure.PressurePolicy` signals;
 - :mod:`repro.fleet.merge` — deterministic result aggregation (keyed by
   job id, independent of completion order);

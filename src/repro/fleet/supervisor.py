@@ -1,13 +1,12 @@
 """Fleet supervisor: dispatch, crash recovery, backpressure, aggregation.
 
-The supervisor owns a pool of spawn-safe worker processes (one job
-outstanding per worker, per-worker dispatch queues, one shared result
-queue) and guarantees:
+The supervisor drives a :class:`repro.fleet.pool.WorkerPool` (one job
+outstanding per worker, each worker on its own channel) and guarantees:
 
 - **zero lost jobs** — a job is accounted for exactly once: as a
   completed result, a bounded-retry failure, or an admission rejection;
-- **crash tolerance** — a worker that dies mid-job (detected by
-  exitcode/heartbeat) has its torn journal salvaged via
+- **crash tolerance** — a worker that dies mid-job (its channel or
+  process sentinel reports it) has its torn journal salvaged via
   :func:`repro.journal.recovery.salvage`, the salvage journaled as a
   :class:`FleetRecovery` record, and the job retried on a fresh worker
   with bounded retries (crash drills are stripped from the retry the
@@ -22,16 +21,20 @@ queue) and guarantees:
 """
 
 import os
-import queue as queue_mod
+import shutil
 import tempfile
 import time
 
 from repro.errors import ConfigError, JournalCrash
 from repro.fleet.jobs import JobResult, JobSpec
 from repro.fleet.merge import aggregate_results, worker_utilization
-from repro.fleet.worker import execute_job, job_journal_path, worker_main
-from repro.journal.recovery import salvage
+from repro.fleet.pool import WorkerPool, salvage_job
+from repro.fleet.worker import execute_job, verify_journal
 from repro.pressure.policy import PressurePolicy
+
+#: longest single wait for worker traffic; bounds how late a job
+#: timeout is noticed
+POLL_S = 0.05
 
 
 def _new_usage():
@@ -61,12 +64,12 @@ class FleetPolicy:
     """Supervisor knobs; watermarks derive from a PressurePolicy."""
 
     __slots__ = ("max_retries", "verify", "collect_journals", "pressure",
-                 "shed_depth", "reject_depth", "start_method", "poll_s",
+                 "shed_depth", "reject_depth", "start_method",
                  "job_timeout_s")
 
     def __init__(self, workers=2, max_retries=2, verify=True,
                  collect_journals=True, pressure=None, start_method="spawn",
-                 poll_s=0.05, job_timeout_s=None):
+                 job_timeout_s=None):
         if max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if start_method not in ("spawn", "fork", "forkserver"):
@@ -78,7 +81,6 @@ class FleetPolicy:
         self.shed_depth, self.reject_depth = \
             self.pressure.fleet_watermarks(max(1, workers))
         self.start_method = start_method
-        self.poll_s = poll_s
         #: optional wall-clock bound per job attempt; a worker that
         #: exceeds it is terminated and handled like a crash
         self.job_timeout_s = job_timeout_s
@@ -223,21 +225,6 @@ class FleetResult:
         return "\n".join(lines)
 
 
-class _Worker:
-    """Supervisor-side handle for one worker process."""
-
-    __slots__ = ("worker_id", "process", "job_queue", "journal_dir",
-                 "inflight", "dispatched_at")
-
-    def __init__(self, worker_id, process, job_queue, journal_dir):
-        self.worker_id = worker_id
-        self.process = process
-        self.job_queue = job_queue
-        self.journal_dir = journal_dir
-        self.inflight = None        # (JobSpec, attempt) or None
-        self.dispatched_at = None
-
-
 class FleetSupervisor:
     """Dispatches job batches over a spawn-safe worker pool.
 
@@ -245,6 +232,11 @@ class FleetSupervisor:
     same job semantics, same salvage+retry handling for crash drills,
     fully deterministic — the reference the multi-process path is tested
     against.
+
+    Journals go under ``journal_root`` when one is given. Otherwise a
+    batch that collects journals gets a fresh ``kivati-fleet-`` temp
+    root, removed (after verification) when :meth:`run_jobs` returns;
+    pass a ``journal_root`` to read the journals afterwards.
     """
 
     def __init__(self, workers=2, policy=None, journal_root=None):
@@ -253,13 +245,7 @@ class FleetSupervisor:
         self.workers = workers
         self.policy = policy if policy is not None else FleetPolicy(
             workers=workers)
-        self._journal_root = journal_root
-        self._owns_journal_root = journal_root is None
-
-    def journal_root(self):
-        if self._journal_root is None:
-            self._journal_root = tempfile.mkdtemp(prefix="kivati-fleet-")
-        return self._journal_root
+        self.journal_root = journal_root
 
     # ------------------------------------------------------------------
     # public API
@@ -294,13 +280,19 @@ class FleetSupervisor:
                 continue
             admitted.append(spec)
         stats.jobs_submitted = len(admitted)
+        root = owned_root = None
+        if self.policy.collect_journals:
+            root = self.journal_root
+            if root is None:
+                root = owned_root = tempfile.mkdtemp(prefix="kivati-fleet-")
         started = time.perf_counter()
-        if self.workers == 0:
-            results, recoveries, order, usage, timeline = \
-                self._run_inline(admitted, stats, started)
-        else:
-            results, recoveries, order, usage, timeline = \
-                self._run_pool(admitted, stats, started)
+        try:
+            run = self._run_inline if self.workers == 0 else self._run_pool
+            results, recoveries, order, usage, timeline = run(
+                admitted, stats, started, root)
+        finally:
+            if owned_root is not None:
+                shutil.rmtree(owned_root, ignore_errors=True)
         elapsed = time.perf_counter() - started
         return FleetResult(results, recoveries, rejections, stats, elapsed,
                            self.workers, order, worker_usage=usage,
@@ -310,30 +302,32 @@ class FleetSupervisor:
     # inline execution (workers=0)
     # ------------------------------------------------------------------
 
-    def _run_inline(self, specs, stats, started):
+    def _run_inline(self, specs, stats, started, root):
         results = {}
         recoveries = []
         order = []
         usage = {"inline": _new_usage()}
         timeline = []
-        journal_dir = os.path.join(self.journal_root(), "inline")
-        os.makedirs(journal_dir, exist_ok=True)
+        journal_dir = None
+        if root is not None:
+            journal_dir = os.path.join(root, "inline")
+            os.makedirs(journal_dir, exist_ok=True)
         pending = [(spec, 0) for spec in specs]
         pending.reverse()  # treat as stack; deterministic order
         while pending:
             spec, attempt = pending.pop()
-            use_dir = journal_dir if self.policy.collect_journals else None
             usage["inline"]["attempts"] += 1
             begun = time.perf_counter()
             try:
-                raw = execute_job(spec.as_dict(), journal_dir=use_dir)
+                raw = execute_job(spec.as_dict(), journal_dir=journal_dir)
             except JournalCrash:
                 _note_window(usage["inline"], timeline, spec, attempt,
                              "inline", begun, started, "crash")
                 recovery, retry = self._handle_crash(
                     spec, attempt, worker_id="inline", exitcode=None,
                     reason="crash",
-                    journal_dir=use_dir, stats=stats, results=results)
+                    salvaged=salvage_job(journal_dir, spec.job_id),
+                    stats=stats, results=results)
                 recoveries.append(recovery)
                 if retry is not None:
                     pending.append(retry)
@@ -352,127 +346,67 @@ class FleetSupervisor:
     # multi-process execution
     # ------------------------------------------------------------------
 
-    def _run_pool(self, specs, stats, started):
-        import multiprocessing as mp
-
-        ctx = mp.get_context(self.policy.start_method)
-        result_queue = ctx.Queue()
-        workers = {}
-        usage = {}
-        timeline = []
-        next_id = [0]
-
-        def spawn_worker():
-            worker_id = "w%d" % next_id[0]
-            next_id[0] += 1
-            journal_dir = os.path.join(self.journal_root(), worker_id)
-            os.makedirs(journal_dir, exist_ok=True)
-            job_queue = ctx.Queue()
-            process = ctx.Process(
-                target=worker_main,
-                args=(worker_id, job_queue, result_queue,
-                      journal_dir if self.policy.collect_journals else None),
-                daemon=True)
-            process.start()
-            workers[worker_id] = _Worker(worker_id, process, job_queue,
-                                         journal_dir)
-            usage[worker_id] = _new_usage()
-            stats.workers_spawned += 1
-            return worker_id
-
-        for _ in range(self.workers):
-            spawn_worker()
-
+    def _run_pool(self, specs, stats, started, root):
         results = {}
         recoveries = []
         order = []
+        usage = {}
+        timeline = []
         pending = list(reversed([(spec, 0) for spec in specs]))
+        timeout_s = self.policy.job_timeout_s
 
-        def dispatch():
-            for worker in workers.values():
-                if not pending:
-                    return
-                if worker.inflight is None and worker.process.is_alive():
-                    spec, attempt = pending.pop()
-                    worker.inflight = (spec, attempt)
-                    worker.dispatched_at = time.perf_counter()
-                    usage[worker.worker_id]["attempts"] += 1
-                    worker.job_queue.put(spec.as_dict())
-
-        def handle_dead(worker, reason):
+        def handle_dead(worker, salvaged, reason):
             spec, attempt = worker.inflight
-            worker.inflight = None
             _note_window(usage[worker.worker_id], timeline, spec, attempt,
                          worker.worker_id, worker.dispatched_at, started,
                          reason)
             stats.workers_crashed += 1
-            use_dir = (worker.journal_dir if self.policy.collect_journals
-                       else None)
             recovery, retry = self._handle_crash(
                 spec, attempt, worker_id=worker.worker_id,
                 exitcode=worker.process.exitcode, reason=reason,
-                journal_dir=use_dir, stats=stats, results=results)
+                salvaged=salvaged, stats=stats, results=results)
             recoveries.append(recovery)
             if retry is not None:
                 pending.append(retry)
-            del workers[worker.worker_id]
-            spawn_worker()
 
+        pool = WorkerPool(self.workers, self.policy.start_method, root)
         try:
-            while pending or any(w.inflight is not None
-                                 for w in workers.values()):
-                dispatch()
-                try:
-                    tag, worker_id, body = result_queue.get(
-                        timeout=self.policy.poll_s)
-                except queue_mod.Empty:
-                    for worker in list(workers.values()):
-                        if worker.inflight is None:
-                            continue
-                        if not worker.process.is_alive():
-                            handle_dead(worker, "crash")
-                        elif (self.policy.job_timeout_s is not None
-                              and time.perf_counter() - worker.dispatched_at
-                              > self.policy.job_timeout_s):
-                            worker.process.terminate()
-                            worker.process.join(timeout=5.0)
-                            stats.workers_timed_out += 1
-                            handle_dead(worker, "timeout")
+            while pending or pool.busy_workers():
+                for worker_id in pool.workers:
+                    usage.setdefault(worker_id, _new_usage())
+                for worker in pool.idle_workers()[:len(pending)]:
+                    spec, attempt = pending.pop()
+                    usage[worker.worker_id]["attempts"] += 1
+                    pool.dispatch(worker, spec.as_dict(), (spec, attempt))
+                for tag, worker, body in pool.poll(POLL_S):
+                    if tag == "claim":
+                        usage[worker.worker_id]["claims"] += 1
+                    elif tag == "exit" and worker.inflight is not None:
+                        handle_dead(worker, body, "crash")
+                    elif tag == "done":
+                        (spec, attempt), worker.inflight = \
+                            worker.inflight, None
+                        result = self._record_result(
+                            body, spec, attempt, worker.worker_id, stats,
+                            backlog=len(pending))
+                        _note_window(usage[worker.worker_id], timeline,
+                                     spec, attempt, worker.worker_id,
+                                     worker.dispatched_at, started,
+                                     "ok" if result.ok else "failed",
+                                     completed=True)
+                        results[spec.job_id] = result
+                        order.append(spec.job_id)
+                if timeout_s is None:
                     continue
-                if tag == "claim":
-                    row = usage.get(worker_id)
-                    if row is not None:
-                        row["claims"] += 1
-                    continue
-                if tag == "bye":
-                    continue
-                worker = workers.get(worker_id)
-                if worker is None or worker.inflight is None:
-                    continue  # stale message from a replaced worker
-                spec, attempt = worker.inflight
-                if body["job_id"] != spec.job_id:
-                    continue
-                worker.inflight = None
-                result = self._record_result(
-                    body, spec, attempt, worker_id, stats,
-                    backlog=len(pending))
-                _note_window(usage[worker_id], timeline, spec, attempt,
-                             worker_id, worker.dispatched_at, started,
-                             "ok" if result.ok else "failed",
-                             completed=True)
-                results[spec.job_id] = result
-                order.append(spec.job_id)
+                now = time.perf_counter()
+                for worker in pool.busy_workers():
+                    if now - worker.dispatched_at > timeout_s:
+                        stats.workers_timed_out += 1
+                        handle_dead(worker, pool.recycle(worker, force=True),
+                                    "timeout")
         finally:
-            for worker in workers.values():
-                if worker.process.is_alive():
-                    worker.job_queue.put(None)
-            deadline = time.perf_counter() + 5.0
-            for worker in workers.values():
-                worker.process.join(
-                    timeout=max(0.1, deadline - time.perf_counter()))
-                if worker.process.is_alive():
-                    worker.process.terminate()
-            result_queue.cancel_join_thread()
+            pool.stop()
+        stats.workers_spawned = pool.workers_spawned
         return results, recoveries, order, usage, timeline
 
     # ------------------------------------------------------------------
@@ -480,26 +414,15 @@ class FleetSupervisor:
     # ------------------------------------------------------------------
 
     def _handle_crash(self, spec, attempt, worker_id, exitcode, reason,
-                      journal_dir, stats, results):
-        """Salvage a crashed attempt's journal and decide retry/fail.
+                      salvaged, stats, results):
+        """Account a crashed attempt's salvaged journal and decide
+        retry/fail.
 
         Returns ``(FleetRecovery, retry_or_None)``; when retries are
         exhausted the job is recorded as a failed result — accounted
         for, never lost.
         """
-        frames = 0
-        torn = False
-        consistent = True
-        journal_path = None
-        if journal_dir is not None:
-            journal_path = job_journal_path(journal_dir, spec.job_id)
-            if os.path.exists(journal_path):
-                salvaged = salvage(journal_path)
-                frames = len(salvaged.events)
-                torn = salvaged.torn
-                consistent = (salvaged.state is None
-                              or salvaged.state.consistent)
-                stats.frames_salvaged += frames
+        stats.frames_salvaged += salvaged.frames
         if attempt < self.policy.max_retries:
             action = "retried"
             stats.jobs_retried += 1
@@ -511,11 +434,12 @@ class FleetSupervisor:
                 spec.job_id, spec.kind, False, None,
                 error="worker %s after %d attempts" % (reason, attempt + 1),
                 worker_id=worker_id, attempt=attempt,
-                journal_path=journal_path)
+                journal_path=salvaged.journal_path)
             retry = None
         return (FleetRecovery(spec.job_id, worker_id, attempt, exitcode,
-                              reason, frames, torn, consistent, action,
-                              journal_path),
+                              reason, salvaged.frames, salvaged.torn,
+                              salvaged.consistent, action,
+                              salvaged.journal_path),
                 retry)
 
     def _record_result(self, raw, spec, attempt, worker_id, stats,
@@ -542,17 +466,8 @@ class FleetSupervisor:
             result.verify_shed = True
             stats.verifications_shed += 1
             return
-        from repro.fleet.worker import cached_program
-        from repro.journal.replay import replay_run
-
         stats.verifications += 1
-        try:
-            replay = replay_run(cached_program(spec.source),
-                                result.journal_path,
-                                drop_fault_points=("journal.crash",))
-            result.verified = replay.ok and replay.verdicts_match
-        except Exception:
-            result.verified = False
+        result.verified = verify_journal(spec.source, result.journal_path)
         if not result.verified:
             stats.verification_failures += 1
 

@@ -1,12 +1,15 @@
 """Spawn-safe fleet worker, shared by the fleet batch plane and the
 long-lived detection service.
 
-``worker_main`` is the entry point the supervisor passes to
-``multiprocessing.Process`` — a module-level function so it survives the
-``spawn`` start method (no closures, no lambdas, nothing that needs the
-parent's memory image).  All work flows through :func:`execute_job`,
-which is also what the supervisor calls directly for inline
-(``workers=0``) execution, so the two paths cannot drift.
+``worker_main`` is the entry point :class:`repro.fleet.pool.WorkerPool`
+passes to ``multiprocessing.Process`` — a module-level function so it
+survives the ``spawn`` start method (no closures, no lambdas, nothing
+that needs the parent's memory image). It talks to the pool over its
+own duplex ``Pipe``, shared with no other worker. All work flows
+through :func:`execute_job`, which is also what the supervisor calls
+directly for inline (``workers=0``) execution, so the two paths cannot
+drift; :func:`verify_journal` is the one replay/checker verification
+both the supervisor and the service daemon run on a finished job.
 
 Workers are crash-transparent by design: a job whose spec carries a
 ``crash`` drill dies via ``os._exit`` the instant the ``journal.crash``
@@ -21,18 +24,17 @@ recycle, operator): the handler closes the active journal frame-clean
 before exiting so salvage sees a clean tail whenever the signal lands
 between frames.
 
-Warm-worker support for ``repro.service``: a queue item of
+Warm-worker support for ``repro.service``: a channel item of
 ``{"op": "warm", "sources": [...], "whitelists": [...]}`` pre-compiles
 workload programs into the per-process cache and pre-reads whitelist
 files, so the first real request pays neither import nor compile cost.
-Every message a worker emits carries ``rss_kb`` and ``jobs_served`` so
-the pool can recycle workers against an RSS ceiling or a jobs cap, and
-an idle worker heartbeats every ``heartbeat_s`` seconds.
+Every message a worker sends carries ``rss_kb`` and ``jobs_served`` so
+the service can recycle workers against an RSS ceiling or a jobs cap,
+and an idle worker heartbeats every ``heartbeat_s`` seconds.
 """
 
 import json
 import os
-import queue as queue_mod
 import signal
 import time
 
@@ -104,25 +106,44 @@ def _sigterm_handler(signum, frame):
     os._exit(TERM_EXIT_STATUS)
 
 
+def verify_journal(source, journal_path, backend="replay"):
+    """Verify a finished job's journal; True only on a clean pass.
+
+    ``replay`` re-executes ``source`` pinned to the journal (crash
+    drills dropped) and demands identical verdicts; ``checker`` streams
+    the journal through the offline checker, whose ``agrees`` demands an
+    intact journal and identical verdict multisets. Any error is a
+    failed verification.
+    """
+    try:
+        if backend == "checker":
+            from repro.journal.checker import check_journal
+
+            return check_journal(journal_path).agrees
+        from repro.journal.replay import replay_run
+
+        replay = replay_run(cached_program(source), journal_path,
+                            drop_fault_points=("journal.crash",))
+        return replay.ok and replay.verdicts_match
+    except Exception:
+        return False
+
+
 def warm_worker(sources=(), whitelists=()):
-    """Pre-compile programs and pre-read whitelist files; returns counts.
+    """Pre-compile programs and pre-read whitelist files.
 
     Compilation is pure per source text, so warming is a correctness
     no-op — it only moves the cost off the first request's latency.
     """
     from repro.runtime.whitelist import read_whitelist_ids
 
-    programs = 0
     for source in sources:
         cached_program(source)
-        programs += 1
-    whitelist_ids = 0
     for path in whitelists:
         try:
-            whitelist_ids += len(read_whitelist_ids(path).ids)
+            read_whitelist_ids(path)
         except OSError:
             pass  # a missing file warms nothing; runs re-read anyway
-    return {"programs_warmed": programs, "whitelist_ids": whitelist_ids}
 
 
 def _config_for(spec):
@@ -196,7 +217,7 @@ def _execute_detect(spec, config, journal_dir):
 def _execute_suite(spec, config, journal_dir):
     """One application's full measurement pass (``run_suite --jobs``).
 
-    The payload carries live report objects (pickled by the queue) —
+    The payload carries live report objects (pickled over the channel) —
     this kind exists so the existing table benchmarks can fan out
     without changing what they compute.
     """
@@ -345,37 +366,34 @@ def execute_job(spec_dict, journal_dir=None):
                 "elapsed_s": time.perf_counter() - started}
 
 
-def worker_main(worker_id, job_queue, result_queue, journal_dir,
-                heartbeat_s=None):
-    """Worker loop: claim, execute, report; ``None`` is the shutdown
-    sentinel.  The claim message doubles as the heartbeat that lets the
-    supervisor attribute a crashed worker's in-flight job; with
-    ``heartbeat_s`` set, an idle worker also emits periodic ``hb``
-    messages so the pool can watch liveness and RSS between jobs."""
+def worker_main(worker_id, conn, journal_dir, heartbeat_s=None):
+    """Worker loop on one duplex channel: receive, claim, execute,
+    report. ``None`` or end-of-file on the channel shuts the worker
+    down. The claim message lets the pool attribute a dead worker's
+    in-flight job; with ``heartbeat_s`` set, an idle worker also sends
+    an ``hb`` message every ``heartbeat_s`` seconds so the pool can
+    watch liveness and RSS between jobs."""
     if journal_dir is not None:
         os.makedirs(journal_dir, exist_ok=True)
     signal.signal(signal.SIGTERM, _sigterm_handler)
     jobs_served = 0
     while True:
-        try:
-            item = job_queue.get(timeout=heartbeat_s)
-        except queue_mod.Empty:
-            result_queue.put(("hb", worker_id, _worker_meta(jobs_served)))
+        if not conn.poll(heartbeat_s):
+            conn.send(("hb", _worker_meta(jobs_served)))
             continue
+        try:
+            item = conn.recv()
+        except EOFError:
+            return
         if item is None:
-            result_queue.put(("bye", worker_id, _worker_meta(jobs_served)))
             return
         if isinstance(item, dict) and item.get("op") == "warm":
-            warmed = warm_worker(item.get("sources", ()),
-                                 item.get("whitelists", ()))
-            body = _worker_meta(jobs_served)
-            body.update(warmed)
-            result_queue.put(("warmed", worker_id, body))
+            warm_worker(item.get("sources", ()), item.get("whitelists", ()))
             continue
         claim = _worker_meta(jobs_served)
         claim["job_id"] = (item.get("job_id")
                            if isinstance(item, dict) else None)
-        result_queue.put(("claim", worker_id, claim))
+        conn.send(("claim", claim))
         try:
             result = execute_job(item, journal_dir=journal_dir)
         except JournalCrash:
@@ -385,9 +403,9 @@ def worker_main(worker_id, job_queue, result_queue, journal_dir,
         jobs_served += 1
         result["worker_id"] = worker_id
         result.update(_worker_meta(jobs_served))
-        result_queue.put(("done", worker_id, result))
+        conn.send(("done", result))
 
 
 __all__ = ["CRASH_EXIT_STATUS", "TERM_EXIT_STATUS", "cached_program",
-           "execute_job", "job_journal_path", "parse_spec", "warm_worker",
-           "worker_main", "worker_rss_kb"]
+           "execute_job", "job_journal_path", "parse_spec", "verify_journal",
+           "warm_worker", "worker_main", "worker_rss_kb"]

@@ -9,19 +9,19 @@ socket, and is engineered to survive crashes, overload, hostile input,
 and operator signals — see :mod:`repro.service.daemon` for the
 robustness inventory and DESIGN.md §12 for the architecture.
 
-Layers: protocol (framing) < pool (warm process lifecycle) < daemon
-(deadlines, retries, quarantine, admission, drain) < client.
+Layers: protocol (framing) < pool (warm process lifecycle, the fleet's
+own :class:`repro.fleet.pool.WorkerPool`) < daemon (deadlines, retries,
+quarantine, health recycling, admission, drain) < client.
 """
 
 from repro.service.client import (ServiceClient, ServiceUnavailable,
                                   wait_for_socket)
 from repro.service.daemon import (KivatiDaemon, SERVICE_JOB_KINDS,
                                   ServicePolicy, ServiceStats)
-from repro.service.pool import PoolPolicy, WarmPool
 from repro.service.protocol import (ERROR_KINDS, MAX_FRAME_BYTES,
                                     recv_frame, send_frame)
 
-__all__ = ["ERROR_KINDS", "KivatiDaemon", "MAX_FRAME_BYTES", "PoolPolicy",
+__all__ = ["ERROR_KINDS", "KivatiDaemon", "MAX_FRAME_BYTES",
            "SERVICE_JOB_KINDS", "ServiceClient", "ServicePolicy",
-           "ServiceStats", "ServiceUnavailable", "WarmPool", "recv_frame",
-           "send_frame", "wait_for_socket"]
+           "ServiceStats", "ServiceUnavailable", "recv_frame", "send_frame",
+           "wait_for_socket"]

@@ -1,9 +1,10 @@
 """`kivati serve`: the long-lived warm-worker detection daemon.
 
 The daemon accepts JSON-framed requests over a Unix-domain socket
-(:mod:`repro.service.protocol`) and executes ``JobSpec`` s on a
-:class:`repro.service.pool.WarmPool`. Robustness is the design center —
-every layer assumes the layer below it will fail:
+(:mod:`repro.service.protocol`) and executes ``JobSpec`` s on a warm
+:class:`repro.fleet.pool.WorkerPool` — the pool the fleet batch plane
+drives too, each worker on its own channel. Robustness is the design
+center — every layer assumes the layer below it will fail:
 
 - **deadlines** — each request carries a wall-clock deadline (default
   from policy); a live-but-stuck worker holding a request past its
@@ -31,9 +32,13 @@ every layer assumes the layer below it will fail:
   is answered with a structured error and at worst costs that one
   connection; a client disconnect mid-request is absorbed (the job
   completes, the response is dropped, the daemon survives);
+- **health recycling** — an idle worker whose RSS crossed the ceiling
+  or that served its jobs cap is retired gracefully and replaced; busy
+  workers are never health-recycled — deadlines own the stuck case;
 - **graceful drain** — SIGTERM/SIGINT stops accepting, finishes every
   in-flight and queued request, retires the pool (each worker closes
-  its journals), removes the socket, and exits 0.
+  its journals), removes the socket and the temp journal root the
+  daemon created, and exits 0.
 
 Every recovery decision (retry, salvage, deadline, recycle, poison
 quarantine, drain) is appended to the in-memory **service log**, an
@@ -44,18 +49,19 @@ per injected kill, so nothing recovers silently.
 
 import collections
 import os
+import shutil
 import socket
+import tempfile
 import threading
 import time
 
 from repro.errors import ConfigError, ProtocolError
 from repro.fleet.jobs import JobSpec
-from repro.fleet.worker import job_journal_path
-from repro.journal.recovery import salvage
+from repro.fleet.pool import WorkerPool
+from repro.fleet.worker import verify_journal
 from repro.pressure.policy import PressurePolicy
 from repro.service.protocol import (error_response, ok_response, recv_frame,
                                     send_frame)
-from repro.service.pool import PoolPolicy, WarmPool
 
 #: job kinds a service request may carry; ``suite`` payloads are live
 #: pickled objects and cannot cross the JSON wire
@@ -79,6 +85,14 @@ class ServicePolicy:
                  retry_backoff_s=0.05, backoff_cap_s=1.0, poison_kills=2,
                  verify=True, verify_backend="replay", pressure=None,
                  poll_s=0.02):
+        if workers < 1:
+            raise ConfigError("service pool needs at least 1 worker")
+        if start_method not in ("spawn", "fork", "forkserver"):
+            raise ConfigError("unknown start method %r" % (start_method,))
+        if rss_limit_kb is not None and rss_limit_kb < 1:
+            raise ConfigError("rss_limit_kb must be positive")
+        if max_jobs_per_worker is not None and max_jobs_per_worker < 1:
+            raise ConfigError("max_jobs_per_worker must be >= 1")
         if default_deadline_s <= 0:
             raise ConfigError("default_deadline_s must be positive")
         if max_retries < 0:
@@ -113,15 +127,6 @@ class ServicePolicy:
         self.shed_depth, self.reject_depth = \
             self.pressure.fleet_watermarks(max(1, workers))
         self.poll_s = poll_s
-
-    def pool_policy(self):
-        return PoolPolicy(
-            workers=self.workers, start_method=self.start_method,
-            heartbeat_s=self.heartbeat_s, rss_limit_kb=self.rss_limit_kb,
-            max_jobs_per_worker=self.max_jobs_per_worker,
-            collect_journals=self.collect_journals,
-            warm_sources=self.warm_sources,
-            warm_whitelists=self.warm_whitelists)
 
     def backoff_for(self, attempt):
         """Exponential backoff before retry ``attempt`` (1-based)."""
@@ -189,7 +194,8 @@ class KivatiDaemon:
     def __init__(self, socket_path, policy=None, journal_root=None):
         self.socket_path = socket_path
         self.policy = policy if policy is not None else ServicePolicy()
-        self._journal_root = journal_root
+        self.journal_root = journal_root
+        self._owned_root = None
         self.pool = None
         self.stats = ServiceStats()
         self.events = []              # the service log (append-only)
@@ -214,13 +220,6 @@ class KivatiDaemon:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def journal_root(self):
-        if self._journal_root is None:
-            import tempfile
-
-            self._journal_root = tempfile.mkdtemp(prefix="kivati-serve-")
-        return self._journal_root
-
     def start(self):
         """Bind the socket, start the pool, dispatcher and accept loop."""
         if self._started:
@@ -231,8 +230,17 @@ class KivatiDaemon:
         self._listener.bind(self.socket_path)
         self._listener.listen(64)
         self._listener.settimeout(0.1)
-        self.pool = WarmPool(self.policy.pool_policy(), self.journal_root())
-        self.pool.start()
+        policy = self.policy
+        root = None
+        if policy.collect_journals:
+            root = self.journal_root
+            if root is None:
+                root = self._owned_root = tempfile.mkdtemp(
+                    prefix="kivati-serve-")
+        self.pool = WorkerPool(policy.workers, policy.start_method, root,
+                               heartbeat_s=policy.heartbeat_s,
+                               warm_sources=policy.warm_sources,
+                               warm_whitelists=policy.warm_whitelists)
         self._started = True
         for target, name in ((self._dispatch_loop, "kivati-dispatch"),
                              (self._accept_loop, "kivati-accept"),
@@ -366,7 +374,7 @@ class KivatiDaemon:
                       "spawned": self.pool.workers_spawned,
                       "recycled": self.pool.workers_recycled,
                       "detail": [w.describe()
-                                 for w in self.pool.workers.values()]})
+                                 for w in list(self.pool.workers.values())]})
         if op == "events":
             limit = int(frame.get("limit", 100))
             with self._lock:
@@ -440,23 +448,18 @@ class KivatiDaemon:
             now = time.perf_counter()
             self._expire_queued(now)
             self._dispatch_ready(now)
-            tag, worker, body = self.pool.poll(self.policy.poll_s)
-            if (tag == "done" and worker is not None
-                    and worker.inflight is not None
-                    and isinstance(body, dict)
-                    and body.get("job_id") == worker.inflight.spec.job_id):
-                request = worker.inflight
-                worker.inflight = None
-                self._complete_done(request, body)
-            self._check_dead_workers()
+            for tag, worker, body in self.pool.poll(self.policy.poll_s):
+                if tag == "done":
+                    request, worker.inflight = worker.inflight, None
+                    self._complete_done(request, body)
+                elif tag == "exit":
+                    self._handle_exit(worker, body)
             self._check_deadlines(time.perf_counter())
             self._recycle_unhealthy_idle()
             if self._draining.is_set():
                 with self._lock:
                     idle_pending = not self._pending
-                busy = any(w.inflight is not None
-                           for w in self.pool.workers.values())
-                if idle_pending and not busy:
+                if idle_pending and not self.pool.busy_workers():
                     break
         # give client handlers a bounded moment to flush the responses
         # just set before tearing the process down
@@ -477,6 +480,8 @@ class KivatiDaemon:
                 os.unlink(self.socket_path)
         except OSError:
             pass
+        if self._owned_root is not None:
+            shutil.rmtree(self._owned_root, ignore_errors=True)
         self._drained.set()
 
     def _expire_queued(self, now):
@@ -553,10 +558,6 @@ class KivatiDaemon:
             self._verify_cond.notify()
 
     def _verify_loop(self):
-        from repro.fleet.worker import cached_program
-        from repro.journal.checker import check_journal
-        from repro.journal.replay import replay_run
-
         while True:
             with self._verify_cond:
                 while not self._verify_queue and not self._verify_stop:
@@ -567,20 +568,8 @@ class KivatiDaemon:
                     continue
                 request, body = self._verify_queue.popleft()
             self.stats.verifications += 1
-            try:
-                if self.policy.verify_backend == "checker":
-                    # no re-execution: stream the journal through the
-                    # offline checker; the strong `agrees` claim demands
-                    # an intact journal and identical verdict multisets
-                    verified = check_journal(body["journal_path"]).agrees
-                else:
-                    replay = replay_run(cached_program(request.spec.source),
-                                        body["journal_path"],
-                                        drop_fault_points=("journal.crash",))
-                    verified = replay.ok and replay.verdicts_match
-            except Exception:
-                verified = False
-            if not verified:
+            if not verify_journal(request.spec.source, body["journal_path"],
+                                  self.policy.verify_backend):
                 self.stats.verification_failures += 1
                 self._log_event("verify-failure",
                                 job_id=request.spec.job_id,
@@ -606,9 +595,9 @@ class KivatiDaemon:
         """A live-but-stuck worker (fresh heartbeat, no result) past its
         request's deadline is force-recycled; the client gets a
         structured deadline error."""
-        for worker in list(self.pool.workers.values()):
+        for worker in self.pool.busy_workers():
             request = worker.inflight
-            if request is None or not request.expired(now):
+            if not request.expired(now):
                 continue
             worker.inflight = None
             self._log_event("recycle", worker_id=worker.worker_id,
@@ -618,68 +607,69 @@ class KivatiDaemon:
             self._fail_deadline(request, "worker %s stuck"
                                 % worker.worker_id)
 
-    def _check_dead_workers(self):
-        """A dead worker's torn journal is salvaged, its request retried
-        with backoff on a fresh worker — or quarantined as poison once it
-        has killed ``poison_kills`` workers."""
-        for worker in self.pool.dead_workers():
-            request = worker.inflight
-            worker.inflight = None
-            self.stats.workers_crashed += 1
-            frames = 0
-            torn = False
-            if worker.journal_dir is not None and request is not None:
-                path = job_journal_path(worker.journal_dir,
-                                        request.spec.job_id)
-                if os.path.exists(path):
-                    salvaged = salvage(path)
-                    frames = len(salvaged.events)
-                    torn = salvaged.torn
-                    self.stats.frames_salvaged += frames
-            self._log_event(
-                "recovery", worker_id=worker.worker_id,
-                exitcode=worker.process.exitcode,
-                job_id=request.spec.job_id if request else None,
-                frames_salvaged=frames, torn=torn)
-            self.stats.workers_recycled += 1
-            self.pool.recycle(worker, force=True)
-            if request is None:
-                continue
-            request.kills += 1
-            digest = request.spec.without_crash_drill().digest()
-            if request.kills >= self.policy.poison_kills:
-                event = self._log_event(
-                    "poison-quarantine", job_id=request.spec.job_id,
-                    digest=digest, kills=request.kills)
-                with self._lock:
-                    self._quarantine[digest] = event["seq"]
-                self.stats.poison_quarantined += 1
-                self._respond(request, error_response(
-                    "poison", "job killed %d worker(s); quarantined"
-                    % request.kills, request.request_id))
-            elif request.attempt < self.policy.max_retries:
-                request.attempt += 1
-                backoff = self.policy.backoff_for(request.attempt)
-                request.not_before = time.perf_counter() + backoff
-                self.stats.retries += 1
-                self._log_event("retry", request_id=request.request_id,
-                                job_id=request.spec.job_id,
-                                attempt=request.attempt,
-                                backoff_s=round(backoff, 4))
-                with self._lock:
-                    self._pending.append(request)
-            else:
-                self.stats.requests_failed += 1
-                self._respond(request, error_response(
-                    "internal", "worker died %d time(s); retries exhausted"
-                    % request.kills, request.request_id))
+    def _handle_exit(self, worker, salvaged):
+        """A dead worker (already replaced by the pool, its journal
+        salvaged) gets its request retried with backoff on a fresh
+        worker — or quarantined as poison once it has killed
+        ``poison_kills`` workers."""
+        request = worker.inflight
+        self.stats.workers_crashed += 1
+        self.stats.workers_recycled += 1
+        self.stats.frames_salvaged += salvaged.frames
+        self._log_event(
+            "recovery", worker_id=worker.worker_id,
+            exitcode=worker.process.exitcode,
+            job_id=request.spec.job_id if request else None,
+            frames_salvaged=salvaged.frames, torn=salvaged.torn)
+        if request is None:
+            return
+        request.kills += 1
+        digest = request.spec.without_crash_drill().digest()
+        if request.kills >= self.policy.poison_kills:
+            event = self._log_event(
+                "poison-quarantine", job_id=request.spec.job_id,
+                digest=digest, kills=request.kills)
+            with self._lock:
+                self._quarantine[digest] = event["seq"]
+            self.stats.poison_quarantined += 1
+            self._respond(request, error_response(
+                "poison", "job killed %d worker(s); quarantined"
+                % request.kills, request.request_id))
+        elif request.attempt < self.policy.max_retries:
+            request.attempt += 1
+            backoff = self.policy.backoff_for(request.attempt)
+            request.not_before = time.perf_counter() + backoff
+            self.stats.retries += 1
+            self._log_event("retry", request_id=request.request_id,
+                            job_id=request.spec.job_id,
+                            attempt=request.attempt,
+                            backoff_s=round(backoff, 4))
+            with self._lock:
+                self._pending.append(request)
+        else:
+            self.stats.requests_failed += 1
+            self._respond(request, error_response(
+                "internal", "worker died %d time(s); retries exhausted"
+                % request.kills, request.request_id))
 
     def _recycle_unhealthy_idle(self):
-        for worker, reason in self.pool.unhealthy_idle_workers():
+        """Recycle idle workers past the RSS ceiling or the jobs cap."""
+        policy = self.policy
+        for worker in self.pool.idle_workers():
+            if (policy.rss_limit_kb is not None
+                    and worker.rss_kb > policy.rss_limit_kb):
+                reason = ("rss %dKiB > limit %dKiB"
+                          % (worker.rss_kb, policy.rss_limit_kb))
+            elif (policy.max_jobs_per_worker is not None
+                  and worker.jobs_served >= policy.max_jobs_per_worker):
+                reason = ("served %d jobs >= cap %d"
+                          % (worker.jobs_served, policy.max_jobs_per_worker))
+            else:
+                continue
             self._log_event("recycle", worker_id=worker.worker_id,
                             reason=reason)
             self.stats.workers_recycled += 1
-            self.pool.recycle(worker, force=False)
+            self.pool.recycle(worker)
 
 
 __all__ = ["KivatiDaemon", "Request", "SERVICE_JOB_KINDS", "ServicePolicy",

@@ -64,25 +64,31 @@ def test_execute_job_never_raises_on_garbage():
         assert result["ok"] is False
 
 
+def _start_worker(worker_id, journal_dir):
+    """A forked worker on its own duplex channel, as the pool runs it."""
+    ctx = multiprocessing.get_context("fork")
+    conn, child_conn = ctx.Pipe()
+    process = ctx.Process(target=worker_main,
+                          args=(worker_id, child_conn, str(journal_dir)))
+    process.start()
+    child_conn.close()
+    return process, conn
+
+
 def test_worker_survives_garbage_then_serves(tmp_path):
     """The real regression: a worker fed malformed payloads must answer
     each with an error result and still execute the next valid job."""
-    ctx = multiprocessing.get_context("fork")
-    job_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    process = ctx.Process(target=worker_main,
-                          args=("guard", job_queue, result_queue,
-                                str(tmp_path)))
-    process.start()
+    process, conn = _start_worker("guard", tmp_path)
     try:
         for payload in GARBAGE_PAYLOADS:
-            job_queue.put(payload)
-        job_queue.put(micro_spec(CONFIG, "after-garbage", 3).as_dict())
+            conn.send(payload)
+        conn.send(micro_spec(CONFIG, "after-garbage", 3).as_dict())
         errors = 0
         final = None
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline and final is None:
-            tag, worker_id, body = result_queue.get(timeout=30.0)
+            assert conn.poll(30.0), "worker went silent"
+            tag, body = conn.recv()
             if tag != "done":
                 continue  # claims
             if body["job_id"] == "after-garbage":
@@ -94,7 +100,7 @@ def test_worker_survives_garbage_then_serves(tmp_path):
         assert final is not None and final["ok"] is True
         assert process.is_alive(), "worker died on malformed input"
     finally:
-        job_queue.put(None)
+        conn.send(None)
         process.join(timeout=10.0)
         if process.is_alive():
             process.kill()
@@ -128,17 +134,11 @@ void main() {
 def test_sigterm_mid_run_closes_journal_frame_clean(tmp_path):
     """A managed kill must not leave a torn journal: the worker's
     SIGTERM handler closes the active writer before exiting 143."""
-    ctx = multiprocessing.get_context("fork")
-    job_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    process = ctx.Process(target=worker_main,
-                          args=("term", job_queue, result_queue,
-                                str(tmp_path)))
-    process.start()
+    process, conn = _start_worker("term", tmp_path)
     spec = _long_spec("longjob")
     path = job_journal_path(str(tmp_path), "longjob")
     try:
-        job_queue.put(spec.as_dict())
+        conn.send(spec.as_dict())
         # wait until the journal has visibly grown: SIGTERM lands mid-run
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
