@@ -11,7 +11,7 @@ Produces an annotated AST with:
 - ``clear_ar()`` at every subroutine exit.
 """
 
-import copy as _copy
+from functools import cached_property
 
 from repro.minic import ast
 from repro.minic.parser import parse
@@ -24,25 +24,20 @@ from repro.analysis.pairs import find_pairs
 from repro.minic.ast import AccessKind
 
 
-class _ShadowSite:
-    __slots__ = ("var", "lvalue")
-
-    def __init__(self, var, lvalue):
-        self.var = var
-        self.lvalue = lvalue
-
-
 class AnnotationResult:
-    """Everything the annotator produced for one program."""
+    """Everything the annotator produced for one program.
 
-    __slots__ = ("ast", "pinfo", "ar_table", "lsvs", "sync_ar_ids",
-                 "ar_ids_by_func", "locks", "guards", "prune",
-                 "footprints", "func_footprints", "_conflicts")
+    ``ast`` is the annotated program; ``pristine_ast`` is the normalized
+    input, left as it was.  The footprints and the conflict graph are
+    built on first read from the pristine bodies, the AR spans and the
+    points-to sets: only the conflict-aware scheduler, lint, fleet
+    binning and ``fuzz fix`` read them, never a bug-finding run."""
 
-    def __init__(self, ast_, pinfo, ar_table, lsvs, sync_ar_ids,
-                 ar_ids_by_func, locks=None, guards=None, prune=None,
-                 footprints=None, func_footprints=None):
+    def __init__(self, ast_, pristine_ast, pinfo, ar_table, lsvs,
+                 sync_ar_ids, ar_ids_by_func, locks, guards, prune,
+                 points_to):
         self.ast = ast_
+        self.pristine_ast = pristine_ast
         self.pinfo = pinfo
         self.ar_table = ar_table          # ar_id -> ARInfo
         self.lsvs = lsvs                  # func name -> LSVResult
@@ -51,24 +46,40 @@ class AnnotationResult:
         self.locks = locks                # locks.LockAnalysis
         self.guards = guards              # guarded.GuardReport
         self.prune = prune                # prune.PruneResult
-        self.footprints = footprints or {}        # ar_id -> Footprint
-        self.func_footprints = func_footprints or {}  # name -> Footprint
-        self._conflicts = None
+        self.points_to = points_to        # func name -> PointsTo
 
-    @property
+    @cached_property
+    def _address_escapes(self):
+        from repro.analysis.footprint import address_escapes
+
+        return address_escapes(self.pristine_ast)
+
+    @cached_property
+    def func_footprints(self):
+        """Transitive per-function footprints, by function name."""
+        from repro.analysis.footprint import compute_function_footprints
+
+        return compute_function_footprints(
+            self.pristine_ast, self.pinfo, self.points_to,
+            self._address_escapes)
+
+    @cached_property
+    def footprints(self):
+        """Per-AR :class:`~repro.analysis.footprint.Footprint`, by id."""
+        from repro.analysis.footprint import compute_ar_footprints
+
+        return compute_ar_footprints(
+            self.pinfo, self.ar_table, self.prune, self.points_to,
+            self.func_footprints, self._address_escapes)
+
+    @cached_property
     def conflicts(self):
-        """The inter-AR :class:`~repro.analysis.conflict.ConflictGraph`.
+        """The inter-AR :class:`~repro.analysis.conflict.ConflictGraph`,
+        O(ARs²); only lint, the diagnostics and fleet binning read it."""
+        from repro.analysis.conflict import build_conflict_graph
 
-        Built on first read: it is O(ARs²), and only lint, the
-        diagnostics and fleet binning read it, never a run.
-        """
-        if self._conflicts is None:
-            from repro.analysis.conflict import build_conflict_graph
-
-            self._conflicts = build_conflict_graph(
-                self.ar_table, self.footprints,
-                sync_names=self.guards.sync_names)
-        return self._conflicts
+        return build_conflict_graph(self.ar_table, self.footprints,
+                                    sync_names=self.guards.sync_names)
 
     @property
     def num_ars(self):
@@ -77,91 +88,50 @@ class AnnotationResult:
     @property
     def static_safe_ar_ids(self):
         """AR ids the lock-discipline analysis proved safe to skip."""
-        if self.prune is None:
-            return frozenset()
         return self.prune.static_safe_ids
 
 
-def _copy_lvalue(expr):
-    """Deep-copy an lvalue expression, giving fresh uids."""
-    if isinstance(expr, ast.Var):
-        return ast.Var(expr.name, expr.line, expr.col)
-    if isinstance(expr, ast.Deref):
-        return ast.Deref(_copy_lvalue(expr.operand), expr.line, expr.col)
-    if isinstance(expr, ast.Index):
-        return ast.Index(
-            _copy_lvalue(expr.base), _copy_expr(expr.index), expr.line, expr.col
-        )
-    raise TypeError("not an lvalue: %r" % expr)
-
-
-def _copy_expr(expr):
-    new = _copy.deepcopy(expr)
-    for node in ast.walk(new):
-        node.uid = ast.fresh_uid()
+def _like(new, old):
+    """``new`` in the place of ``old``: same uid and source position."""
+    new.uid = old.uid
     return new
 
 
-def _insert_annotations(block, begins, ends, shadows):
-    """Rewrite a block, inserting annotation statements around the
-    statements named in the maps (stmt uid -> list of ARInfo)."""
+def _rewrite_block(block, begins, ends, shadows):
+    """A copy of ``block`` with the annotation statements inserted
+    around the statements named in the maps (stmt uid -> list), and
+    ``clear_ar()`` before every return.  Rewritten ``If``/``While``/
+    ``Block`` nodes are new objects; every other statement, and every
+    lvalue an annotation names, is shared with ``block``, which is left
+    untouched."""
     out = []
     for stmt in block.stmts:
         if isinstance(stmt, ast.Block):
-            out.append(_insert_annotations(stmt, begins, ends, shadows))
+            out.append(_rewrite_block(stmt, begins, ends, shadows))
             continue
+        uid = stmt.uid
+        for info in begins.get(uid, ()):
+            out.append(ast.BeginAtomic(info.ar_id, info.lvalue, stmt.line,
+                                       stmt.col))
         if isinstance(stmt, ast.If):
-            stmt.then = _insert_annotations(_ensure_block(stmt.then), begins,
-                                            ends, shadows)
-            if stmt.els is not None:
-                stmt.els = _insert_annotations(_ensure_block(stmt.els), begins,
-                                               ends, shadows)
+            stmt = _like(ast.If(
+                stmt.cond, _rewrite_block(stmt.then, begins, ends, shadows),
+                None if stmt.els is None
+                else _rewrite_block(stmt.els, begins, ends, shadows),
+                stmt.line, stmt.col), stmt)
         elif isinstance(stmt, ast.While):
-            stmt.body = _insert_annotations(_ensure_block(stmt.body), begins,
-                                            ends, shadows)
-        for info in begins.get(stmt.uid, ()):
-            out.append(ast.BeginAtomic(info.ar_id, _copy_lvalue(info.lvalue),
-                                       stmt.line, stmt.col))
+            stmt = _like(ast.While(
+                stmt.cond, _rewrite_block(stmt.body, begins, ends, shadows),
+                stmt.line, stmt.col), stmt)
+        elif isinstance(stmt, ast.Return):
+            out.append(ast.ClearAr(stmt.line, stmt.col))
         out.append(stmt)
-        for site in shadows.get(stmt.uid, ()):
-            out.append(ast.ShadowStore(0, _copy_lvalue(site.lvalue),
-                                       stmt.line, stmt.col))
-        for info in ends.get(stmt.uid, ()):
-            out.append(ast.EndAtomic(info.ar_id, info.second_kind_at(stmt.uid),
+        for _, lvalue in shadows.get(uid, ()):
+            out.append(ast.ShadowStore(0, lvalue, stmt.line, stmt.col))
+        for info in ends.get(uid, ()):
+            out.append(ast.EndAtomic(info.ar_id, info.second_kind_at(uid),
                                      stmt.line, stmt.col))
-    return ast.Block(out, block.line, block.col)
-
-
-def _ensure_block(stmt):
-    if isinstance(stmt, ast.Block):
-        return stmt
-    return ast.Block([stmt], stmt.line, stmt.col)
-
-
-def _insert_clear_ars(block):
-    """Insert clear_ar() before every return and at the end of the body."""
-    def rewrite(blk):
-        out = []
-        for stmt in blk.stmts:
-            if isinstance(stmt, ast.Return):
-                out.append(ast.ClearAr(stmt.line, stmt.col))
-                out.append(stmt)
-                continue
-            if isinstance(stmt, ast.Block):
-                out.append(rewrite(stmt))
-                continue
-            if isinstance(stmt, ast.If):
-                stmt.then = rewrite(_ensure_block(stmt.then))
-                if stmt.els is not None:
-                    stmt.els = rewrite(_ensure_block(stmt.els))
-            elif isinstance(stmt, ast.While):
-                stmt.body = rewrite(_ensure_block(stmt.body))
-            out.append(stmt)
-        return ast.Block(out, blk.line, blk.col)
-
-    new = rewrite(block)
-    new.stmts.append(ast.ClearAr(block.line, block.col))
-    return new
+    return _like(ast.Block(out, block.line, block.col), block)
 
 
 def spin_flag_vars(func):
@@ -173,57 +143,53 @@ def spin_flag_vars(func):
     sleeps (the canonical spin-wait shape after normalization).
     """
     flags = set()
-
-    def scan(stmt, loop_conds):
-        if isinstance(stmt, ast.Block):
-            for s in stmt.stmts:
-                scan(s, loop_conds)
-        elif isinstance(stmt, ast.While):
-            cond_reads = set()
-            waits = [False]
-            _collect_spin(stmt.body, cond_reads, waits)
-            if waits[0]:
-                flags.update(cond_reads)
-            scan(stmt.body, loop_conds)
-        elif isinstance(stmt, ast.If):
-            scan(stmt.then, loop_conds)
-            if stmt.els is not None:
-                scan(stmt.els, loop_conds)
-
-    def _collect_spin(body, cond_reads, waits):
-        for s in (body.stmts if isinstance(body, ast.Block) else [body]):
-            if isinstance(s, ast.Decl) and s.name.startswith("__c") and \
-                    s.init is not None:
-                for node in ast.walk(s.init):
-                    if isinstance(node, ast.Var):
-                        cond_reads.add(node.name)
-            elif isinstance(s, ast.ExprStmt) and isinstance(s.expr, ast.Call) \
-                    and s.expr.name in ("yield", "sleep"):
-                waits[0] = True
-            elif isinstance(s, ast.If):
-                # condition reads inside guards count as spin reads too
-                for node in ast.walk(s.cond):
-                    if isinstance(node, ast.Var):
-                        cond_reads.add(node.name)
-                _collect_spin(s.then, cond_reads, waits)
-                if s.els is not None:
-                    _collect_spin(s.els, cond_reads, waits)
-            elif isinstance(s, ast.Block):
-                _collect_spin(s, cond_reads, waits)
-
-    scan(func.body, [])
+    for loop in ast.statements(func.body):
+        if isinstance(loop, ast.While):
+            reads = set()
+            if _spin_reads(loop.body, reads):
+                flags |= reads
     return {f for f in flags if not f.startswith(TEMP_PREFIX)}
 
 
+def _spin_reads(body, reads):
+    """Add to ``reads`` the names the loop-exit tests in a loop body
+    read (condition temps and guards); True if the body yields or
+    sleeps.  Nested loops are their own spin candidates."""
+    waits = False
+    for s in body.stmts:
+        if isinstance(s, ast.Decl) and s.name.startswith(TEMP_PREFIX) \
+                and s.init is not None:
+            reads.update(n.name for n in ast.walk(s.init)
+                         if isinstance(n, ast.Var))
+        elif isinstance(s, ast.ExprStmt) and isinstance(s.expr, ast.Call) \
+                and s.expr.name in ("yield", "sleep"):
+            waits = True
+        elif isinstance(s, ast.If):
+            # condition reads inside guards count as spin reads too
+            reads.update(n.name for n in ast.walk(s.cond)
+                         if isinstance(n, ast.Var))
+            waits |= _spin_reads(s.then, reads)
+            if s.els is not None:
+                waits |= _spin_reads(s.els, reads)
+        elif isinstance(s, ast.Block):
+            waits |= _spin_reads(s, reads)
+    return waits
+
+
 def annotate(source_or_ast, emit_shadow_stores=True,
-             interprocedural=False, pointer_analysis=False):
+             interprocedural=False, pointer_analysis=False, pinfo=None):
     """Run the full static annotator.
 
-    Accepts mini-C source text or a parsed Program AST, which is
-    normalized (a no-op on an already normalized one) and rewritten in
-    place. Returns an :class:`AnnotationResult` whose ``ast`` can be fed
-    to :func:`repro.compiler.compile_program` together with ``pinfo``
-    and ``ar_table``.
+    Accepts mini-C source text, which is parsed, normalized and checked
+    here, or a normalized Program AST (as
+    :func:`~repro.analysis.normalize.normalize_program` returns it)
+    together with its ``pinfo`` from :func:`~repro.minic.typecheck.check`
+    (checked here when omitted).  The input AST is left untouched: the
+    annotated program is a new AST (``result.ast``) whose rewritten
+    ``If``/``While``/``Block``/``FuncDef`` nodes carry their originals'
+    uids and positions and which shares every other statement with the
+    input.  Feed ``result.ast`` to :func:`repro.compiler.compile_program`
+    together with ``pinfo`` and ``ar_table``.
 
     ``interprocedural=True`` enables the Section 3.5 extension: call
     statements contribute their callee's transitive global accesses, so
@@ -233,11 +199,11 @@ def annotate(source_or_ast, emit_shadow_stores=True,
     tracked per element.
     """
     if isinstance(source_or_ast, str):
-        program = parse(source_or_ast)
+        program = normalize_program(parse(source_or_ast))
     else:
         program = source_or_ast
-    program = normalize_program(program)
-    pinfo = check(program)
+    if pinfo is None:
+        pinfo = check(program)
 
     ar_table = {}
     lsvs = {}
@@ -263,7 +229,7 @@ def annotate(source_or_ast, emit_shadow_stores=True,
 
     points_to = compute_points_to(program, pinfo)
 
-    # ---- phase 1: per-function analyses on the pristine bodies -----------
+    # ---- per-function analyses on the pristine bodies --------------------
     func_data = {}   # func name -> (lsv, pair_result)
     cfgs = {}
     per_func_infos = {}
@@ -299,20 +265,8 @@ def annotate(source_or_ast, emit_shadow_stores=True,
                           points_to=points_to, extra_sync_vars=flag_vars)
     prune_result = classify_ars(ar_table, guards, lock_analysis)
 
-    # ---- per-AR and per-function footprints ------------------------------
-    # (on the pristine bodies/CFGs: the span uids predate the rewrite; the
-    # conflict graph over them is built when first read)
-    from repro.analysis.footprint import (address_escapes,
-                                          compute_ar_footprints,
-                                          compute_function_footprints)
-
-    addr_escapes = address_escapes(program)
-    func_footprints = compute_function_footprints(program, pinfo, points_to,
-                                                  addr_escapes)
-    footprints = compute_ar_footprints(pinfo, ar_table, cfgs, points_to,
-                                       func_footprints, addr_escapes)
-
-    # ---- phase 2: rewrite bodies with the annotation statements ----------
+    # ---- the annotated copy of every body ----------------------------------
+    funcs = []
     for func in program.funcs:
         _, pair_result = func_data[func.name]
         begins = {}
@@ -332,17 +286,18 @@ def annotate(source_or_ast, emit_shadow_stores=True,
                 if acc.kind != AccessKind.WRITE:
                     continue
                 entries = shadows.setdefault(acc.stmt_uid, [])
-                if any(e.var == acc.var for e in entries):
-                    continue
-                entries.append(_ShadowSite(acc.var, acc.lvalue))
+                if all(var != acc.var for var, _ in entries):
+                    entries.append((acc.var, acc.lvalue))
 
-        func.body = _insert_annotations(func.body, begins, ends, shadows)
-        func.body = _insert_clear_ars(func.body)
+        body = _rewrite_block(func.body, begins, ends, shadows)
+        body.stmts.append(ast.ClearAr(func.body.line, func.body.col))
+        funcs.append(_like(ast.FuncDef(func.name, func.params, body,
+                                       func.line, func.col), func))
+    annotated = _like(ast.Program(program.globals, funcs, program.line,
+                                  program.col), program)
 
     # the annotation statements declare nothing, so ``pinfo`` (locals,
     # frame sizes) still describes the rewritten program for codegen
-    return AnnotationResult(program, pinfo, ar_table, lsvs,
+    return AnnotationResult(annotated, program, pinfo, ar_table, lsvs,
                             frozenset(sync_ar_ids), ar_ids_by_func,
-                            locks=lock_analysis, guards=guards,
-                            prune=prune_result, footprints=footprints,
-                            func_footprints=func_footprints)
+                            lock_analysis, guards, prune_result, points_to)

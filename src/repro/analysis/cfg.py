@@ -38,6 +38,7 @@ class CFG:
         self.nodes = []
         self.entry = self._new("entry")
         self.exit = self._new("exit")
+        self._order = None
 
     def _new(self, kind, stmt=None, expr=None):
         node = CFGNode(len(self.nodes), kind, stmt, expr)
@@ -51,6 +52,30 @@ class CFG:
 
     def stmt_nodes(self):
         return [n for n in self.nodes if n.kind == "stmt"]
+
+    def solve_order(self):
+        """``(nodes, rank)`` for :func:`repro.analysis.dataflow.solve_cfg`:
+        every node but the entry, those reachable from it in reverse
+        postorder and then the rest in node order, and the ``node ->
+        position`` map.  Computed once, after the graph is built."""
+        if self._order is None:
+            seen = {self.entry.nid}
+            post = []
+            stack = [(self.entry, iter(self.entry.succs))]
+            while stack:
+                node, succs = stack[-1]
+                for succ in succs:
+                    if succ.nid not in seen:
+                        seen.add(succ.nid)
+                        stack.append((succ, iter(succ.succs)))
+                        break
+                else:
+                    stack.pop()
+                    post.append(node)
+            order = post[-2::-1]      # reversed, without the entry
+            order.extend(n for n in self.nodes if n.nid not in seen)
+            self._order = order, {n: i for i, n in enumerate(order)}
+        return self._order
 
 
 def build_cfg(func):

@@ -69,9 +69,6 @@ class ConflictGraph:
             self._adj.setdefault(edge.a, []).append(edge)
             self._adj.setdefault(edge.b, []).append(edge)
 
-    def edges_of(self, ar_id):
-        return tuple(self._adj.get(ar_id, ()))
-
     def degree(self, ar_id):
         return len(self._adj.get(ar_id, ()))
 

@@ -31,6 +31,7 @@ Diagnostics carry ``file:line`` anchors and render as text
 
 from repro.analysis import conflict as _c
 from repro.analysis import guarded as _g
+from repro.analysis.footprint import Footprint
 from repro.minic.ast import AccessKind
 
 CODES = ("W001", "W002", "W003", "W004", "W005", "W006", "W007")
@@ -85,10 +86,7 @@ def _first_line(vg, pred):
 
 
 def _guard_diags(result, filename, out):
-    guards = result.guards
-    if guards is None:
-        return
-    for vg in guards.all_guards():
+    for vg in result.guards.all_guards():
         if vg.verdict != _g.UNPROTECTED or not vg.has_writes:
             continue
         if vg.inconsistent:
@@ -111,8 +109,6 @@ def _guard_diags(result, filename, out):
 
 def _lock_diags(result, filename, out):
     locks = result.locks
-    if locks is None:
-        return
     for name in sorted(locks.per_func):
         fr = locks.per_func[name]
         for line, token in sorted(fr.unmatched_unlocks):
@@ -142,8 +138,6 @@ def _func_line(result, name):
 
 def _ar_diags(result, filename, out):
     prune = result.prune
-    if prune is None:
-        return
     for ar_id in sorted(prune.verdicts):
         verdict = prune.verdicts[ar_id]
         if not verdict.blocking:
@@ -172,8 +166,6 @@ _CONFLICT_PHRASE = {
 
 def _conflict_diags(result, filename, out):
     graph = result.conflicts
-    if graph is None:
-        return
     for edge in graph.edges:
         # sync ARs and lock-word-only conflicts are the scheduler's
         # business, not the programmer's (same carve-out as W004)
@@ -240,43 +232,40 @@ def analysis_dump(result):
             "lsv": sorted(lsv.shared),
             "sync_vars": sorted(lsv.sync_vars),
         }
-        if result.locks is not None:
-            fr = result.locks.per_func.get(name)
-            if fr is not None:
-                entry["entry_context"] = sorted(fr.entry_context)
-                entry["exit_must"] = sorted(fr.exit_must)
-                entry["exit_may"] = sorted(fr.exit_may)
-                locksets = {}
-                for uid in sorted(fr.must_in):
-                    line = fr.stmt_lines.get(uid, 0)
-                    tokens = sorted(fr.must_in[uid])
-                    if tokens:
-                        locksets.setdefault(str(line), tokens)
-                entry["must_hold_by_line"] = locksets
-        if result.locks is not None:
-            summ = result.locks.summaries.get(name)
-            if summ is not None:
-                entry["summary"] = {
-                    "must_added": sorted(summ.must_added),
-                    "may_added": sorted(summ.may_added),
-                    "may_released": sorted(summ.may_released),
-                    "releases_unknown": summ.releases_unknown,
-                    "may_block": summ.may_block,
-                }
+        fr = result.locks.per_func.get(name)
+        if fr is not None:
+            entry["entry_context"] = sorted(fr.entry_context)
+            entry["exit_must"] = sorted(fr.exit_must)
+            entry["exit_may"] = sorted(fr.exit_may)
+            locksets = {}
+            for uid in sorted(fr.must_in):
+                line = fr.stmt_lines.get(uid, 0)
+                tokens = sorted(fr.must_in[uid])
+                if tokens:
+                    locksets.setdefault(str(line), tokens)
+            entry["must_hold_by_line"] = locksets
+        summ = result.locks.summaries.get(name)
+        if summ is not None:
+            entry["summary"] = {
+                "must_added": sorted(summ.must_added),
+                "may_added": sorted(summ.may_added),
+                "may_released": sorted(summ.may_released),
+                "releases_unknown": summ.releases_unknown,
+                "may_block": summ.may_block,
+            }
         funcs[name] = entry
 
     guards = []
-    if result.guards is not None:
-        for vg in result.guards.all_guards():
-            guards.append({
-                "name": vg.display_name(),
-                "scope": vg.scope,
-                "verdict": vg.verdict,
-                "locks": sorted(vg.locks),
-                "sites_locked": vg.n_locked,
-                "sites_total": vg.n_total,
-                "has_writes": vg.has_writes,
-            })
+    for vg in result.guards.all_guards():
+        guards.append({
+            "name": vg.display_name(),
+            "scope": vg.scope,
+            "verdict": vg.verdict,
+            "locks": sorted(vg.locks),
+            "sites_locked": vg.n_locked,
+            "sites_total": vg.n_total,
+            "has_writes": vg.has_writes,
+        })
 
     ars = []
     for ar_id in sorted(result.ar_table):
@@ -288,19 +277,16 @@ def analysis_dump(result):
             "line": info.line,
             "is_sync": info.is_sync,
         }
-        if result.prune is not None:
-            v = result.prune.verdict(ar_id)
-            if v is not None:
-                entry["verdict"] = v.verdict
-                entry["reason"] = v.reason
-                if v.lock:
-                    entry["lock"] = v.lock
+        v = result.prune.verdict(ar_id)
+        if v is not None:
+            entry["verdict"] = v.verdict
+            entry["reason"] = v.reason
+            if v.lock:
+                entry["lock"] = v.lock
         ars.append(entry)
 
-    dump = {"functions": funcs, "guards": guards, "ars": ars}
-    if result.prune is not None:
-        dump["prune_counts"] = result.prune.counts()
-    return dump
+    return {"functions": funcs, "guards": guards, "ars": ars,
+            "prune_counts": result.prune.counts()}
 
 
 def render_dump(dump):
@@ -374,24 +360,16 @@ def footprint_dump(result):
                  "line": info.line, "is_sync": info.is_sync}
         entry.update(result.footprints[ar_id].as_dict())
         ars.append(entry)
-    dump = {"functions": funcs, "ars": ars}
-    if result.conflicts is not None:
-        dump["conflicts"] = result.conflicts.as_dict()
-    return dump
+    return {"functions": funcs, "ars": ars,
+            "conflicts": result.conflicts.as_dict()}
 
 
 def render_footprints(dump):
     """Human-readable rendering of :func:`footprint_dump`."""
 
     def fmt(entry):
-        bits = []
-        if entry["reads"]:
-            bits.append("R{%s}" % ",".join(entry["reads"]))
-        if entry["writes"]:
-            bits.append("W{%s}" % ",".join(entry["writes"]))
-        if entry["wild"]:
-            bits.append("wild")
-        return " ".join(bits) or "(empty)"
+        return Footprint(entry["reads"], entry["writes"],
+                         entry["wild"]).describe()
 
     lines = ["function footprints:"]
     for name in sorted(dump["functions"]):

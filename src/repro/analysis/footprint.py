@@ -38,7 +38,7 @@ from repro.minic import ast
 from repro.minic.ast import AccessKind
 from repro.minic.builtins import SYNC_BUILTINS, is_builtin
 
-from repro.analysis.prune import _span_nodes, _uid_node_map
+from repro.analysis.dataflow import solve_call_graph
 
 
 class Footprint:
@@ -247,21 +247,16 @@ class _Collector:
             arg = expr.args[0]
             for other in expr.args[1:]:
                 self.reads_of(other)
-            if isinstance(arg, ast.AddrOf) and isinstance(arg.operand,
-                                                          ast.Var):
-                lockname = arg.operand.name
+            if isinstance(arg, ast.AddrOf):
+                operand = arg.operand
+                if isinstance(operand, ast.Index):
+                    self.reads_of(operand.index)
+                    operand = operand.base
                 # machine semantics: LOCK reads the word and writes it on
                 # acquire; UNLOCK only writes; cas/atomic_add read+write
                 if name != "unlock":
-                    self._add(lockname, AccessKind.READ)
-                self._add(lockname, AccessKind.WRITE)
-            elif isinstance(arg, ast.AddrOf) and isinstance(arg.operand,
-                                                            ast.Index):
-                self.reads_of(arg.operand.index)
-                lockname = arg.operand.base.name
-                if name != "unlock":
-                    self._add(lockname, AccessKind.READ)
-                self._add(lockname, AccessKind.WRITE)
+                    self._add(operand.name, AccessKind.READ)
+                self._add(operand.name, AccessKind.WRITE)
             else:
                 self._copyword_arg(arg, AccessKind.WRITE)
                 if name != "unlock":
@@ -340,9 +335,9 @@ def compute_function_footprints(program, pinfo, points_to, addr_escapes):
     """Transitive per-function footprints over the pristine bodies.
 
     ``addr_escapes`` is :func:`address_escapes` of ``program``.  Returns
-    ``{func_name: Footprint}``.  The fixpoint folds callee footprints
-    into callers until stable; recursion converges because footprints
-    only grow and the domain is finite.
+    ``{func_name: Footprint}``.  Callee footprints fold into callers,
+    callees first; recursion converges because footprints only grow and
+    the domain is finite.
     """
     global_names = set(pinfo.global_sizes)
 
@@ -358,37 +353,33 @@ def compute_function_footprints(program, pinfo, points_to, addr_escapes):
             else:
                 coll.statement(stmt)
         direct[func.name] = coll
-        call_edges[func.name] = coll.callees
+        call_edges[func.name] = sorted(coll.callees)
 
     result = {name: coll.footprint() for name, coll in direct.items()}
-    changed = True
-    while changed:
-        changed = False
-        for name in sorted(result):
-            fp = result[name]
-            for callee in sorted(call_edges[name]):
-                callee_fp = result.get(callee)
-                if callee_fp is None:
-                    if not fp.wild:
-                        fp = Footprint(fp.reads, fp.writes, True)
-                        changed = True
-                    continue
-                merged = fp.union(callee_fp)
-                if (merged.reads != fp.reads or merged.writes != fp.writes
-                        or merged.wild != fp.wild):
-                    fp = merged
-                    changed = True
-            result[name] = fp
+
+    def fold(name):
+        fp = result[name]
+        for callee in call_edges[name]:
+            callee_fp = result.get(callee)
+            fp = (fp.union(callee_fp) if callee_fp is not None
+                  else Footprint(fp.reads, fp.writes, True))
+        if (fp.reads, fp.writes, fp.wild) == (
+                result[name].reads, result[name].writes, result[name].wild):
+            return False
+        result[name] = fp
+        return True
+
+    solve_call_graph(sorted(result), call_edges, fold)
     return result
 
 
-def compute_ar_footprints(pinfo, ar_table, cfgs, points_to,
+def compute_ar_footprints(pinfo, ar_table, prune, points_to,
                           func_footprints, addr_escapes):
     """Per-AR span footprints.
 
-    ``cfgs`` maps function name to the *pristine* (pre-annotation) CFG —
-    the same objects the pairing DFA ran on, so ``begin_uid`` /
-    ``second_kinds`` uids resolve; ``func_footprints`` and
+    ``prune`` is the :class:`~repro.analysis.prune.PruneResult` of the
+    same program, whose verdicts carry each AR's span over the
+    *pristine* (pre-annotation) CFG; ``func_footprints`` and
     ``addr_escapes`` are what :func:`compute_function_footprints` and
     :func:`address_escapes` gave for the same program.  Returns
     ``{ar_id: Footprint}``.
@@ -397,34 +388,20 @@ def compute_ar_footprints(pinfo, ar_table, cfgs, points_to,
     missing from the CFG) is conservatively wild.
     """
     global_names = set(pinfo.global_sizes)
-
-    uid_maps = {}
     footprints = {}
     for ar_id in sorted(ar_table):
         info = ar_table[ar_id]
-        cfg = cfgs.get(info.func)
-        if cfg is None:
+        span = prune.verdicts[ar_id].span
+        if span is None:
             footprints[ar_id] = WILD
             continue
-        uid_map = uid_maps.get(info.func)
-        if uid_map is None:
-            uid_map = _uid_node_map(cfg)
-            uid_maps[info.func] = uid_map
-        begin_node = uid_map.get(info.begin_uid)
-        end_nodes = [uid_map[uid] for uid in sorted(info.second_kinds)
-                     if uid in uid_map]
-        if begin_node is None or not end_nodes:
-            footprints[ar_id] = WILD
-            continue
-        span = _span_nodes(cfg, begin_node, end_nodes)
         coll = _Collector(info.func, global_names,
                           points_to.get(info.func), addr_escapes,
                           func_footprints=func_footprints)
-        for node in sorted(span, key=lambda n: n.nid):
-            if node.kind == "stmt" and node.stmt is not None:
+        for node in span:
+            if node.kind == "stmt":
                 coll.statement(node.stmt)
-            elif node.kind == "cond" and getattr(node, "expr", None) \
-                    is not None:
+            elif node.kind == "cond":
                 coll.reads_of(node.expr)
         # the AR's own variable is always in the footprint: the begin
         # site's first access may precede the span's first node

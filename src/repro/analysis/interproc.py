@@ -21,6 +21,7 @@ are included since their address is caller-computable.
 from repro.minic import ast
 from repro.minic.ast import AccessKind
 from repro.minic.builtins import SYNC_BUILTINS, is_builtin
+from repro.analysis.dataflow import solve_call_graph
 
 
 class CallSummary:
@@ -147,20 +148,17 @@ def compute_call_summaries(program, pinfo):
         summary.reads = reads
         summary.writes = writes
         direct[func.name] = summary
-        callee_map[func.name] = callees
+        callee_map[func.name] = sorted(callees)
 
-    changed = True
-    while changed:
-        changed = False
-        for name, summary in direct.items():
-            for callee in callee_map[name]:
-                other = direct.get(callee)
-                if other is None:
-                    continue
-                if not other.reads <= summary.reads:
-                    summary.reads |= other.reads
-                    changed = True
-                if not other.writes <= summary.writes:
-                    summary.writes |= other.writes
-                    changed = True
+    def close(name):
+        summary = direct[name]
+        before = len(summary.reads), len(summary.writes)
+        for callee in callee_map[name]:
+            other = direct.get(callee)
+            if other is not None:
+                summary.reads |= other.reads
+                summary.writes |= other.writes
+        return before != (len(summary.reads), len(summary.writes))
+
+    solve_call_graph(list(direct), callee_map, close)
     return direct

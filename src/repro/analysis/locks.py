@@ -33,11 +33,10 @@ participate in the intra-procedural sets so diagnostics can reason about
 them.
 """
 
-from collections import deque
-
 from repro.minic import ast
 from repro.minic.builtins import is_builtin
 from repro.analysis.cfg import build_cfg
+from repro.analysis.dataflow import solve_call_graph, solve_cfg
 from repro.analysis.lockmodel import (LOCK_BUILTIN, UNLOCK_BUILTIN,
                                       lock_ref, token_base)
 
@@ -88,9 +87,8 @@ class FuncLocksets:
     """Per-function analysis result."""
 
     __slots__ = ("func_name", "cfg", "entry_context", "node_events",
-                 "node_must_in", "node_may_in", "must_in", "may_in",
-                 "stmt_lines", "exit_must", "exit_may",
-                 "unmatched_unlocks")
+                 "node_must_in", "must_in", "stmt_lines", "exit_must",
+                 "exit_may", "unmatched_unlocks")
 
     def __init__(self, func_name, cfg):
         self.func_name = func_name
@@ -98,9 +96,7 @@ class FuncLocksets:
         self.entry_context = frozenset()
         self.node_events = {}     # nid -> tuple of LockEvent
         self.node_must_in = {}    # nid -> frozenset of tokens
-        self.node_may_in = {}     # nid -> frozenset of tokens
         self.must_in = {}         # stmt uid -> frozenset of tokens
-        self.may_in = {}          # stmt uid -> frozenset of tokens
         self.stmt_lines = {}      # stmt uid -> source line
         self.exit_must = frozenset()
         self.exit_may = frozenset()
@@ -124,18 +120,11 @@ class LockAnalysis:
     def token_is_global(self, token):
         return token_base(token) in self.global_names
 
-    def globals_only(self, tokens):
-        return frozenset(t for t in tokens if self.token_is_global(t))
-
-    def must_at(self, func_name, stmt_uid):
-        """Must-hold lockset entering the statement, or empty."""
-        fr = self.per_func.get(func_name)
-        if fr is None:
-            return frozenset()
-        return fr.must_in.get(stmt_uid, frozenset())
-
     def global_must_at(self, func_name, stmt_uid):
-        return self.globals_only(self.must_at(func_name, stmt_uid))
+        """Global locks held on every path entering the statement."""
+        fr = self.per_func.get(func_name)
+        held = fr.must_in.get(stmt_uid, ()) if fr is not None else ()
+        return frozenset(t for t in held if self.token_is_global(t))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +133,7 @@ class LockAnalysis:
 
 
 def _stmt_events(stmt):
-    """Lock events of one simple statement, in evaluation order."""
+    """Lock events of one simple statement or condition, in order."""
     events = []
     if isinstance(stmt, ast.Spawn):
         events.append(LockEvent("spawn", name=stmt.func, line=stmt.line))
@@ -170,20 +159,12 @@ def _collect_events(cfg):
     """nid -> tuple of LockEvent for every node of ``cfg``."""
     out = {}
     for node in cfg.nodes:
-        if node.kind == "stmt":
-            events = _stmt_events(node.stmt)
-        elif node.kind == "cond":
-            events = (_stmt_events(ast.ExprStmt(node.expr))
-                      if _has_calls(node.expr) else [])
-        else:
-            events = []
-        if events:
-            out[node.nid] = tuple(events)
+        if node.kind in ("stmt", "cond"):
+            events = _stmt_events(node.stmt if node.kind == "stmt"
+                                  else node.expr)
+            if events:
+                out[node.nid] = tuple(events)
     return out
-
-
-def _has_calls(expr):
-    return any(isinstance(n, ast.Call) for n in ast.walk(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -243,60 +224,37 @@ def _apply_may(state, events, summaries):
 # ---------------------------------------------------------------------------
 
 
+def _union(states):
+    return frozenset().union(*states)
+
+
 def _must_flow(cfg, events, entry_state, summaries):
     """Forward must analysis; returns (ins, outs) keyed by nid.
 
     Unreachable nodes get the empty set (they never execute; claiming
-    nothing is held there is harmlessly conservative)."""
-    outs = {cfg.entry.nid: entry_state}
-    work = deque(cfg.entry.succs)
-    while work:
-        node = work.popleft()
-        pred_outs = [outs[p.nid] for p in node.preds if p.nid in outs]
-        if not pred_outs:
-            continue
-        in_ = frozenset.intersection(*pred_outs)
-        out = _apply_must(in_, events.get(node.nid, ()), summaries)
-        if outs.get(node.nid) != out:
-            outs[node.nid] = out
-            work.extend(node.succs)
-    ins = {}
-    for node in cfg.nodes:
-        if node is cfg.entry:
-            ins[node.nid] = entry_state
-            continue
-        pred_outs = [outs[p.nid] for p in node.preds if p.nid in outs]
-        ins[node.nid] = (frozenset.intersection(*pred_outs)
-                        if pred_outs else frozenset())
-    return ins, outs
+    nothing is held there is harmlessly conservative) and no out-state."""
+    return solve_cfg(
+        cfg, lambda node, in_: _apply_must(in_, events.get(node.nid, ()),
+                                           summaries),
+        lambda states: frozenset.intersection(*states), entry_state,
+        frozenset(), optimistic=True)
 
 
 def _may_flow(cfg, events, entry_state, summaries):
-    outs = {n.nid: frozenset() for n in cfg.nodes}
-    outs[cfg.entry.nid] = entry_state
-    # every node starts on the worklist: outs are pre-seeded with the
-    # bottom element, so a first visit that computes bottom would look
-    # "unchanged" and never propagate to its successors
-    work = deque(n for n in cfg.nodes if n is not cfg.entry)
-    while work:
-        node = work.popleft()
-        in_ = frozenset()
-        for p in node.preds:
-            in_ = in_ | outs[p.nid]
-        out = _apply_may(in_, events.get(node.nid, ()), summaries)
-        if out != outs[node.nid]:
-            outs[node.nid] = out
-            work.extend(node.succs)
-    ins = {}
-    for node in cfg.nodes:
-        if node is cfg.entry:
-            ins[node.nid] = entry_state
-            continue
-        in_ = frozenset()
-        for p in node.preds:
-            in_ = in_ | outs[p.nid]
-        ins[node.nid] = in_
-    return ins, outs
+    """Forward may analysis over every node; returns (ins, outs)."""
+    return solve_cfg(
+        cfg, lambda node, in_: _apply_may(in_, events.get(node.nid, ()),
+                                          summaries),
+        _union, entry_state, frozenset())
+
+
+def _exit_must(cfg, outs):
+    preds = [outs[p.nid] for p in cfg.exit.preds if p.nid in outs]
+    return frozenset.intersection(*preds) if preds else frozenset()
+
+
+def _exit_may(cfg, outs):
+    return _union([outs[p.nid] for p in cfg.exit.preds])
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +268,14 @@ def compute_lock_analysis(program, pinfo, cfgs=None):
     ``cfgs`` may supply prebuilt per-function CFGs (the annotator shares
     its own); missing entries are built here. Must run on the
     *pre-annotation* AST.
+
+    Three passes over the call graph, each on the one solver: the
+    syntactic summary parts and then the additive ones (callees first),
+    then the entry contexts (callers first), whose must flows are the
+    final ones.
     """
     global_names = frozenset(pinfo.global_sizes)
+    names = [func.name for func in program.funcs]
     per_func = {}
     for func in program.funcs:
         cfg = cfgs.get(func.name) if cfgs else None
@@ -324,40 +288,27 @@ def compute_lock_analysis(program, pinfo, cfgs=None):
     def is_global_token(token):
         return token_base(token) in global_names
 
-    # universe of precise global tokens + roots (thread entry points)
+    def globals_of(tokens):
+        return frozenset(t for t in tokens if is_global_token(t))
+
+    # universe of precise global tokens, roots (thread entry points),
+    # call edges in first-call order, and the syntactic summary parts
     universe = set()
     roots = {"main"}
-    referenced = set()
+    summaries = {name: LockSummary(name) for name in names}
+    callee_map = {}
+    callers = {name: [] for name in names}
     for func in program.funcs:
-        fr = per_func[func.name]
-        for events in fr.node_events.values():
-            for ev in events:
+        summ = summaries[func.name]
+        callees = callee_map[func.name] = []
+        for node in per_func[func.name].cfg.nodes:
+            for ev in per_func[func.name].node_events.get(node.nid, ()):
                 if ev.kind in ("lock", "unlock") and ev.precise \
                         and is_global_token(ev.token):
                     universe.add(ev.token)
-                elif ev.kind == "spawn":
+                if ev.kind == "spawn":
                     roots.add(ev.name)
-                    referenced.add(ev.name)
-                elif ev.kind == "call":
-                    referenced.add(ev.name)
-        # funcref-taken functions can be invoked with anything held
-        for node in ast.walk(func.body):
-            if isinstance(node, ast.Call) and node.name == "funcref":
-                arg = node.args[0] if node.args else None
-                if isinstance(arg, ast.Var):
-                    roots.add(arg.name)
-                    referenced.add(arg.name)
-    universe = frozenset(universe)
-
-    # ---- summaries: syntactic parts first (release effects, blocking) ----
-    summaries = {f.name: LockSummary(f.name) for f in program.funcs}
-    callee_map = {}
-    for func in program.funcs:
-        summ = summaries[func.name]
-        callees = set()
-        for events in per_func[func.name].node_events.values():
-            for ev in events:
-                if ev.kind == "unlock":
+                elif ev.kind == "unlock":
                     if ev.precise:
                         if is_global_token(ev.token):
                             summ.may_released.add(ev.token)
@@ -365,137 +316,122 @@ def compute_lock_analysis(program, pinfo, cfgs=None):
                         summ.releases_unknown = True
                 elif ev.kind == "invoke":
                     summ.releases_unknown = True
-                elif ev.kind in ("block",):
+                elif ev.kind in ("block", "lock"):
                     summ.may_block = True
-                elif ev.kind == "lock":
-                    summ.may_block = True
-                elif ev.kind == "call":
-                    callees.add(ev.name)
-        callee_map[func.name] = callees
+                elif ev.kind == "call" and ev.name not in callees:
+                    callees.append(ev.name)
+                    if ev.name in callers:
+                        callers[ev.name].append(func.name)
+        # funcref-taken functions can be invoked with anything held
+        for node in ast.walk(func.body):
+            if isinstance(node, ast.Call) and node.name == "funcref":
+                arg = node.args[0] if node.args else None
+                if isinstance(arg, ast.Var):
+                    roots.add(arg.name)
+    universe = frozenset(universe)
 
-    changed = True
-    while changed:
-        changed = False
-        for name, summ in summaries.items():
-            for callee in callee_map[name]:
-                other = summaries.get(callee)
-                if other is None:
-                    continue
-                if other.releases_unknown and not summ.releases_unknown:
-                    summ.releases_unknown = True
-                    changed = True
-                if not other.may_released <= summ.may_released:
-                    summ.may_released |= other.may_released
-                    changed = True
-                if other.may_block and not summ.may_block:
-                    summ.may_block = True
-                    changed = True
+    # ---- summaries: syntactic parts (release effects, blocking) ---------
+    def close_syntactic(name):
+        summ = summaries[name]
+        before = (summ.releases_unknown, len(summ.may_released),
+                  summ.may_block)
+        for callee in callee_map[name]:
+            other = summaries.get(callee)
+            if other is not None:
+                summ.releases_unknown |= other.releases_unknown
+                summ.may_released |= other.may_released
+                summ.may_block |= other.may_block
+        return before != (summ.releases_unknown, len(summ.may_released),
+                          summ.may_block)
+
+    solve_call_graph(names, callee_map, close_syntactic)
 
     # ---- summaries: additive parts need the dataflow (least fixpoint) ----
-    changed = True
-    while changed:
-        changed = False
-        for func in program.funcs:
-            fr = per_func[func.name]
-            summ = summaries[func.name]
-            _, must_outs = _must_flow(fr.cfg, fr.node_events, frozenset(),
-                                      summaries)
-            exit_preds = [must_outs[p.nid] for p in fr.cfg.exit.preds
-                          if p.nid in must_outs]
-            exit_must = (frozenset.intersection(*exit_preds)
-                         if exit_preds else frozenset())
-            must_added = frozenset(t for t in exit_must
-                                   if is_global_token(t))
-            _, may_outs = _may_flow(fr.cfg, fr.node_events, frozenset(),
-                                    summaries)
-            exit_may = frozenset()
-            for p in fr.cfg.exit.preds:
-                exit_may = exit_may | may_outs[p.nid]
-            may_added = frozenset(t for t in exit_may if is_global_token(t))
-            if must_added != summ.must_added:
-                summ.must_added = must_added
-                changed = True
-            if may_added != summ.may_added:
-                summ.may_added = may_added
-                changed = True
+    def close_additive(name):
+        fr = per_func[name]
+        summ = summaries[name]
+        if not fr.node_events:
+            return False        # adds nothing from an empty entry state
+        _, must_outs = _must_flow(fr.cfg, fr.node_events, frozenset(),
+                                  summaries)
+        _, may_outs = _may_flow(fr.cfg, fr.node_events, frozenset(),
+                                summaries)
+        must_added = globals_of(_exit_must(fr.cfg, must_outs))
+        may_added = globals_of(_exit_may(fr.cfg, may_outs))
+        if (must_added, may_added) == (summ.must_added, summ.may_added):
+            return False
+        summ.must_added, summ.may_added = must_added, may_added
+        return True
+
+    solve_call_graph(names, callee_map, close_additive)
 
     # ---- entry contexts: greatest fixpoint, roots pinned to empty -------
-    contexts = {f.name: (frozenset() if f.name in roots else universe)
-                for f in program.funcs}
-    while True:
-        observed = {}  # callee -> intersection of call-site must states
+    # a context is the meet of the must states at every call site; a
+    # caller not yet solved (inside a recursive component) counts as the
+    # full universe, a function nobody calls (dead code) gets nothing
+    contexts = {}
+    calls_from = {}    # caller -> {callee: meet of its call-site states}
+    must = {}          # func name -> (ins, outs) under its context
 
-        def record(callee, state):
-            state = frozenset(t for t in state if is_global_token(t))
-            if callee in observed:
-                observed[callee] = observed[callee] & state
-            else:
-                observed[callee] = state
+    def solve_context(name):
+        if name in roots or not callers[name]:
+            context = frozenset()
+        else:
+            context = universe
+            for caller in callers[name]:
+                state = calls_from.get(caller, {}).get(name)
+                if state is not None:
+                    context = context & state
+        contexts[name] = context
+        fr = per_func[name]
+        ins, outs = must[name] = _must_flow(fr.cfg, fr.node_events, context,
+                                            summaries)
+        observed = {}
+        for node in fr.cfg.nodes:
+            events = fr.node_events.get(node.nid)
+            if not events:
+                continue
+            state = ins[node.nid]
+            for ev in events:
+                if ev.kind == "call":
+                    seen = globals_of(state)
+                    observed[ev.name] = (observed[ev.name] & seen
+                                         if ev.name in observed else seen)
+                state = _apply_must(state, (ev,), summaries)
+        if calls_from.get(name) == observed:
+            return False
+        calls_from[name] = observed
+        return True
 
-        for func in program.funcs:
-            fr = per_func[func.name]
-            ins, _ = _must_flow(fr.cfg, fr.node_events,
-                                contexts[func.name], summaries)
-            for node in fr.cfg.nodes:
-                events = fr.node_events.get(node.nid)
-                if not events:
-                    continue
-                state = ins[node.nid]
-                for ev in events:
-                    if ev.kind == "call":
-                        record(ev.name, state)
-                    elif ev.kind == "spawn":
-                        record(ev.name, frozenset())
-                    state = _apply_must(state, (ev,), summaries)
-        new_contexts = {}
-        for func in program.funcs:
-            name = func.name
-            if name in roots:
-                new_contexts[name] = frozenset()
-            elif name in observed:
-                new_contexts[name] = observed[name]
-            else:
-                # never referenced: dead code, nothing can be assumed
-                new_contexts[name] = frozenset()
-        if new_contexts == contexts:
-            break
-        contexts = new_contexts
+    solve_call_graph(names, callee_map, solve_context, callers_first=True)
+    contexts = {name: contexts[name] for name in names}
 
     # ---- final per-function results with contexts applied ----------------
     for func in program.funcs:
         fr = per_func[func.name]
         fr.entry_context = contexts[func.name]
-        must_ins, must_outs = _must_flow(fr.cfg, fr.node_events,
-                                         fr.entry_context, summaries)
+        fr.node_must_in, must_outs = must[func.name]
+        fr.exit_must = _exit_must(fr.cfg, must_outs)
+        for node in fr.cfg.nodes:
+            if node.kind in ("stmt", "cond"):
+                fr.must_in[node.stmt.uid] = fr.node_must_in[node.nid]
+                fr.stmt_lines[node.stmt.uid] = node.stmt.line
+        if not fr.node_events:
+            # nothing changes the state: the may flow is the must flow
+            fr.exit_may = fr.exit_must
+            continue
         may_ins, may_outs = _may_flow(fr.cfg, fr.node_events,
                                       fr.entry_context, summaries)
-        fr.node_must_in = must_ins
-        fr.node_may_in = may_ins
         unmatched = []
         for node in fr.cfg.nodes:
-            stmt = node.stmt if node.kind in ("stmt", "cond") else None
-            if stmt is not None:
-                fr.must_in[stmt.uid] = must_ins[node.nid]
-                fr.may_in[stmt.uid] = may_ins[node.nid]
-                fr.stmt_lines[stmt.uid] = stmt.line
-            events = fr.node_events.get(node.nid)
-            if not events:
-                continue
             may_state = may_ins[node.nid]
-            for ev in events:
+            for ev in fr.node_events.get(node.nid, ()):
                 if (ev.kind == "unlock" and ev.precise
                         and ev.token not in may_state):
                     unmatched.append((ev.line, ev.token))
                 may_state = _apply_may(may_state, (ev,), summaries)
         fr.unmatched_unlocks = tuple(unmatched)
-        exit_preds = [must_outs[p.nid] for p in fr.cfg.exit.preds
-                      if p.nid in must_outs]
-        fr.exit_must = (frozenset.intersection(*exit_preds)
-                        if exit_preds else frozenset())
-        exit_may = frozenset()
-        for p in fr.cfg.exit.preds:
-            exit_may = exit_may | may_outs[p.nid]
-        fr.exit_may = exit_may
+        fr.exit_may = _exit_may(fr.cfg, may_outs)
 
     return LockAnalysis(per_func, summaries, contexts, global_names,
                         universe)

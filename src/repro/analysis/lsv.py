@@ -23,6 +23,7 @@ knows they never escape.
 
 from repro.minic import ast
 from repro.minic.builtins import POINTER_RETURNING, SYNC_BUILTINS
+from repro.analysis.dataflow import worklist
 from repro.analysis.normalize import TEMP_PREFIX
 
 
@@ -36,9 +37,6 @@ class LSVResult:
         self.shared = frozenset(shared)
         self.sync_vars = frozenset(sync_vars)
         self.addr_taken = frozenset(addr_taken)
-
-    def __contains__(self, name):
-        return name in self.shared
 
 
 def _expr_var_names(expr, out):
@@ -75,7 +73,6 @@ def _expr_var_names(expr, out):
 
 def compute_lsv(func, pinfo):
     """Compute the LSV for ``func``. ``pinfo`` is the checked ProgramInfo."""
-    finfo = pinfo.funcs[func.name]
     shared = set()
     sync_vars = set()
 
@@ -129,18 +126,26 @@ def compute_lsv(func, pinfo):
         if isinstance(rhs, ast.Call) and rhs.name in POINTER_RETURNING:
             shared.add(target)
 
-    # closure: data-flow dependence
-    changed = True
-    while changed:
-        changed = False
-        for target, rhs in assigns:
-            if target is None or target in shared:
-                continue
-            names = set()
-            _expr_var_names(rhs, names)
-            if names & shared:
-                shared.add(target)
-                changed = True
+    # closure: data-flow dependence — a target becomes shared once any
+    # name its right-hand side reads is shared
+    reads_of = {}
+    readers = {}
+    for target, rhs in assigns:
+        if target is None:
+            continue
+        names = set()
+        _expr_var_names(rhs, names)
+        reads_of.setdefault(target, set()).update(names)
+        for name in sorted(names):
+            readers.setdefault(name, []).append(target)
+
+    def close(target):
+        if target in shared or shared.isdisjoint(reads_of[target]):
+            return False
+        shared.add(target)
+        return True
+
+    worklist(list(reads_of), close, lambda name: readers.get(name, ()))
 
     # add deref pseudo-vars for shared pointers that are dereferenced
     for name in deref_names:

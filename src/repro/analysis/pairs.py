@@ -18,6 +18,7 @@ from repro.minic import ast
 from repro.minic.ast import AccessKind
 from repro.minic.builtins import SYNC_BUILTINS
 from repro.analysis.cfg import build_cfg
+from repro.analysis.dataflow import solve_cfg
 
 
 class Access:
@@ -244,39 +245,34 @@ def find_pairs(func, lsv, pinfo, cfg=None, summaries=None, points_to=None,
         else:
             node_accesses[node.nid] = []
 
-    # fixpoint: OUT[node] as dict var -> frozenset(aid)
-    outs = {node.nid: {} for node in cfg.nodes}
-
+    # fixpoint: the state maps each var to the aids of its latest accesses
     def transfer(node, state):
+        regs = node_accesses[node.nid]
+        if not regs:
+            return state
         state = dict(state)
-        for acc in node_accesses[node.nid]:
+        for acc in regs:
             state[acc.var] = frozenset((acc.aid,))
         return state
 
-    def merged_in(node):
-        state = {}
-        for pred in node.preds:
-            for var, aids in outs[pred.nid].items():
-                if var in state:
-                    state[var] = state[var] | aids
+    def meet(states):
+        if len(states) == 1:
+            return states[0]
+        merged = dict(states[0])
+        for other in states[1:]:
+            for var, aids in other.items():
+                if var in merged:
+                    merged[var] = merged[var] | aids
                 else:
-                    state[var] = aids
-        return state
+                    merged[var] = aids
+        return merged
 
-    worklist = list(cfg.nodes)
-    while worklist:
-        node = worklist.pop()
-        new_out = transfer(node, merged_in(node))
-        if new_out != outs[node.nid]:
-            outs[node.nid] = new_out
-            for succ in node.succs:
-                if succ not in worklist:
-                    worklist.append(succ)
+    ins, _ = solve_cfg(cfg, transfer, meet, {}, {})
 
     # final pass: collect pairs
     pairs = set()
     for node in cfg.nodes:
-        state = merged_in(node)
+        state = dict(ins[node.nid])
         for acc in node_accesses[node.nid]:
             # sorted so pair discovery order (and everything derived from
             # it) is independent of set iteration order

@@ -27,6 +27,7 @@ The annotator consumes the result two ways (``pointer_analysis=True``):
 
 from repro.minic import ast
 from repro.minic.builtins import is_builtin
+from repro.analysis.dataflow import worklist
 
 
 class PointsTo:
@@ -124,18 +125,25 @@ def compute_points_to(program, pinfo):
             elif isinstance(node, ast.Spawn):
                 bind_args(func.name, node.func, node.args)
 
-    # propagate copies to fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for dst, src in copies:
+    # propagate copies to fixpoint: each destination takes the union of
+    # its sources, in first-copy order
+    sources = {}
+    readers = {}
+    for dst, src in copies:
+        sources.setdefault(dst, []).append(src)
+        readers.setdefault(src, []).append(dst)
+
+    def absorb(dst):
+        dst_set = points.get(dst)
+        before = len(dst_set) if dst_set is not None else 0
+        for src in sources[dst]:
             src_set = points.get(src)
-            if not src_set:
-                continue
-            dst_set = pts(dst)
-            if not src_set <= dst_set:
+            if src_set:
+                dst_set = pts(dst)
                 dst_set |= src_set
-                changed = True
+        return dst_set is not None and len(dst_set) != before
+
+    worklist(list(sources), absorb, lambda name: readers.get(name, ()))
 
     # project per function
     result = {}

@@ -39,9 +39,10 @@ MONITOR = "monitor"
 class ARVerdict:
     """Prune classification of one atomic region."""
 
-    __slots__ = ("ar_id", "verdict", "reason", "lock", "blocking")
+    __slots__ = ("ar_id", "verdict", "reason", "lock", "blocking", "span")
 
-    def __init__(self, ar_id, verdict, reason, lock=None, blocking=()):
+    def __init__(self, ar_id, verdict, reason, lock=None, blocking=(),
+                 span=None):
         self.ar_id = ar_id
         self.verdict = verdict
         self.reason = reason
@@ -49,6 +50,9 @@ class ARVerdict:
         # blocking calls inside the AR's span: tuple of (line, name);
         # W004's evidence, recorded for every AR regardless of verdict
         self.blocking = tuple(blocking)
+        # CFG nodes of the AR's begin->end window in node order, or None
+        # when it cannot be reconstructed; the footprints read it
+        self.span = span
 
     def describe(self):
         extra = " [%s]" % self.lock if self.lock else ""
@@ -179,69 +183,51 @@ def _blocking_calls(span, func_result, summaries):
     return sorted(set(out))
 
 
+def _classify(info, span, guards, func_result, summaries):
+    """``(verdict, reason, guard lock)`` of one AR."""
+    if info.is_sync:
+        return MONITOR, "sync", None
+    base = info.var.split("[")[0]
+    if base.startswith("*"):
+        return MONITOR, "pointer", None
+    vg = guards.verdict_for(info.func, base)
+    if vg is None:
+        return MONITOR, "unclassified", None
+    if vg.verdict in (_g.THREAD_LOCAL, _g.READ_SHARED):
+        return STATIC_SAFE, vg.verdict, None
+    if vg.verdict != _g.GUARDED_BY:
+        return MONITOR, vg.verdict, None
+    if span is None:
+        return MONITOR, "guarded-no-span", None
+    for lock in sorted(vg.locks):
+        if _span_holds(span, lock, func_result, summaries):
+            return STATIC_SAFE, "guarded-by", lock
+    return MONITOR, "guard-not-spanning", None
+
+
 def classify_ars(ar_table, guards, lock_analysis):
     """Classify every AR; returns a :class:`PruneResult`."""
     summaries = lock_analysis.summaries
     uid_maps = {}
     verdicts = {}
-
     for ar_id in sorted(ar_table):
         info = ar_table[ar_id]
         func_result = lock_analysis.per_func.get(info.func)
-
         # span + blocking evidence (wanted for every AR, W004)
         blocking = ()
         span = None
         if func_result is not None:
             uid_map = uid_maps.get(info.func)
             if uid_map is None:
-                uid_map = _uid_node_map(func_result.cfg)
-                uid_maps[info.func] = uid_map
+                uid_map = uid_maps[info.func] = _uid_node_map(func_result.cfg)
             begin_node = uid_map.get(info.begin_uid)
             end_nodes = [uid_map[uid] for uid in info.second_kinds
                          if uid in uid_map]
             if begin_node is not None and end_nodes:
                 span = _span_nodes(func_result.cfg, begin_node, end_nodes)
                 blocking = _blocking_calls(span, func_result, summaries)
-
-        def monitor(reason):
-            return ARVerdict(ar_id, MONITOR, reason, blocking=blocking)
-
-        if info.is_sync:
-            verdicts[ar_id] = monitor("sync")
-            continue
-        base = info.var.split("[")[0]
-        if base.startswith("*"):
-            verdicts[ar_id] = monitor("pointer")
-            continue
-        vg = guards.verdict_for(info.func, base)
-        if vg is None:
-            verdicts[ar_id] = monitor("unclassified")
-            continue
-        if vg.verdict == _g.THREAD_LOCAL:
-            verdicts[ar_id] = ARVerdict(ar_id, STATIC_SAFE, "thread-local",
-                                        blocking=blocking)
-            continue
-        if vg.verdict == _g.READ_SHARED:
-            verdicts[ar_id] = ARVerdict(ar_id, STATIC_SAFE, "read-shared",
-                                        blocking=blocking)
-            continue
-        if vg.verdict == _g.GUARDED_BY:
-            if span is None or func_result is None:
-                verdicts[ar_id] = monitor("guarded-no-span")
-                continue
-            held = None
-            for lock in sorted(vg.locks):
-                if _span_holds(span, lock, func_result, summaries):
-                    held = lock
-                    break
-            if held is not None:
-                verdicts[ar_id] = ARVerdict(ar_id, STATIC_SAFE,
-                                            "guarded-by", lock=held,
-                                            blocking=blocking)
-            else:
-                verdicts[ar_id] = monitor("guard-not-spanning")
-            continue
-        verdicts[ar_id] = monitor(vg.verdict)
-
+        verdict, reason, lock = _classify(info, span, guards, func_result,
+                                          summaries)
+        verdicts[ar_id] = ARVerdict(ar_id, verdict, reason, lock, blocking,
+                                    span)
     return PruneResult(verdicts)

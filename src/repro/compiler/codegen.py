@@ -152,38 +152,42 @@ class _FuncCompiler:
 
     def gen_expr(self, expr, rd):
         """Emit code leaving the value of ``expr`` in rd."""
-        if isinstance(expr, ast.IntLit):
-            self.emit(Op.LI, rd, expr.value)
-        elif isinstance(expr, ast.Var):
-            if self.is_array(expr.name):
-                # array name decays to its address
-                self.gen_var_addr(expr.name, rd)
-            else:
-                ra = self.temp()
-                self.gen_var_addr(expr.name, ra)
-                self.emit(Op.LD, rd, ra)
-                self.release(ra)
-        elif isinstance(expr, ast.Unary):
-            self.gen_expr(expr.operand, rd)
-            self.emit(Op.NEG if expr.op == "-" else Op.NOT, rd, rd)
-        elif isinstance(expr, ast.Deref):
-            ra = self.temp()
-            self.gen_expr(expr.operand, ra)
-            self.emit(Op.LD, rd, ra)
-            self.release(ra)
-        elif isinstance(expr, ast.AddrOf):
-            self.gen_addr(expr.operand, rd)
-        elif isinstance(expr, ast.Index):
-            ra = self.temp()
-            self.gen_addr(expr, ra)
-            self.emit(Op.LD, rd, ra)
-            self.release(ra)
-        elif isinstance(expr, ast.Binary):
-            self.gen_binary(expr, rd)
-        elif isinstance(expr, ast.Call):
-            self.gen_call(expr, rd)
-        else:
+        gen = _EXPR_GEN.get(type(expr))
+        if gen is None:
             raise CompileError("cannot compile expression %r" % expr)
+        gen(self, expr, rd)
+
+    def _gen_intlit(self, expr, rd):
+        self.emit(Op.LI, rd, expr.value)
+
+    def _gen_var(self, expr, rd):
+        if self.is_array(expr.name):
+            # array name decays to its address
+            self.gen_var_addr(expr.name, rd)
+        else:
+            ra = self.temp()
+            self.gen_var_addr(expr.name, ra)
+            self.emit(Op.LD, rd, ra)
+            self.release(ra)
+
+    def _gen_unary(self, expr, rd):
+        self.gen_expr(expr.operand, rd)
+        self.emit(Op.NEG if expr.op == "-" else Op.NOT, rd, rd)
+
+    def _gen_deref(self, expr, rd):
+        ra = self.temp()
+        self.gen_expr(expr.operand, ra)
+        self.emit(Op.LD, rd, ra)
+        self.release(ra)
+
+    def _gen_addrof(self, expr, rd):
+        self.gen_addr(expr.operand, rd)
+
+    def _gen_index(self, expr, rd):
+        ra = self.temp()
+        self.gen_addr(expr, ra)
+        self.emit(Op.LD, rd, ra)
+        self.release(ra)
 
     def gen_binary(self, expr, rd):
         if expr.op in ("&&", "||"):
@@ -290,102 +294,117 @@ class _FuncCompiler:
 
     def gen_stmt(self, stmt):
         self.cur_stmt = stmt
-        if isinstance(stmt, ast.Decl):
-            if stmt.init is not None:
-                rv = self.temp()
-                self.gen_expr(stmt.init, rv)
-                ra = self.temp()
-                self.gen_var_addr(stmt.name, ra)
-                self.emit(Op.ST, ra, rv)
-                self.release(rv, ra)
-        elif isinstance(stmt, ast.Assign):
+        gen = _STMT_GEN.get(type(stmt))
+        if gen is None:
+            raise CompileError("cannot compile statement %r" % stmt)
+        gen(self, stmt)
+
+    def _gen_decl(self, stmt):
+        if stmt.init is not None:
             rv = self.temp()
-            self.gen_expr(stmt.value, rv)
+            self.gen_expr(stmt.init, rv)
             ra = self.temp()
-            self.gen_addr(stmt.target, ra)
+            self.gen_var_addr(stmt.name, ra)
             self.emit(Op.ST, ra, rv)
             self.release(rv, ra)
-        elif isinstance(stmt, ast.ExprStmt):
-            rd = self.temp()
-            self.gen_expr(stmt.expr, rd)
-            self.release(rd)
-        elif isinstance(stmt, ast.Block):
-            for s in stmt.stmts:
-                self.gen_stmt(s)
-        elif isinstance(stmt, ast.If):
-            rc = self.temp()
-            self.gen_expr(stmt.cond, rc)
-            jfalse = self.emit(Op.JZ, rc, 0)
-            self.release(rc)
-            self.gen_stmt(stmt.then)
-            if stmt.els is not None:
-                jend = self.emit(Op.JMP, 0)
-                self.patch(jfalse, self.here())
-                self.gen_stmt(stmt.els)
-                self.patch(jend, self.here())
-            else:
-                self.patch(jfalse, self.here())
-        elif isinstance(stmt, ast.While):
-            top = self.here()
-            rc = self.temp()
-            self.cur_stmt = stmt
-            self.gen_expr(stmt.cond, rc)
-            jexit = self.emit(Op.JZ, rc, 0)
-            self.release(rc)
-            self.loop_stack.append((top, []))
-            self.gen_stmt(stmt.body)
-            self.cur_stmt = stmt
-            self.emit(Op.JMP, top)
-            _, breaks = self.loop_stack.pop()
-            end = self.here()
-            self.patch(jexit, end)
-            for site in breaks:
-                self.patch(site, end)
-        elif isinstance(stmt, ast.Break):
-            if not self.loop_stack:
-                raise CompileError("break outside loop")
-            self.loop_stack[-1][1].append(self.emit(Op.JMP, 0))
-        elif isinstance(stmt, ast.Continue):
-            if not self.loop_stack:
-                raise CompileError("continue outside loop")
-            self.emit(Op.JMP, self.loop_stack[-1][0])
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                rv = self.temp()
-                self.gen_expr(stmt.value, rv)
-                if rv != 0:
-                    self.emit(Op.MOV, 0, rv)
-                self.release(rv)
-            self.emit(Op.RET)
-        elif isinstance(stmt, ast.Spawn):
-            arg_regs = []
-            for arg in stmt.args:
-                r = self.temp()
-                self.gen_expr(arg, r)
-                arg_regs.append(r)
-            for i, r in enumerate(arg_regs):
-                if r != i:
-                    self.emit(Op.MOV, i, r)
-            self.emit(Op.SPAWN, self.program.func_index(stmt.func), len(stmt.args))
-            if arg_regs:
-                self.release(*arg_regs)
-        elif isinstance(stmt, ast.BeginAtomic):
-            ra = self.temp()
-            self.gen_addr(stmt.addr, ra)
-            self.emit(Op.BEGINAT, stmt.ar_id, ra)
-            self.release(ra)
-        elif isinstance(stmt, ast.EndAtomic):
-            kind_code = 1 if stmt.second_kind == AccessKind.WRITE else 0
-            self.emit(Op.ENDAT, stmt.ar_id, kind_code)
-        elif isinstance(stmt, ast.ClearAr):
-            self.emit(Op.CLEARAR)
-        elif isinstance(stmt, ast.ShadowStore):
-            ra = self.temp()
-            self.gen_addr(stmt.addr, ra)
-            self.emit(Op.SHADOWST, stmt.ar_id, ra)
-            self.release(ra)
+
+    def _gen_assign(self, stmt):
+        rv = self.temp()
+        self.gen_expr(stmt.value, rv)
+        ra = self.temp()
+        self.gen_addr(stmt.target, ra)
+        self.emit(Op.ST, ra, rv)
+        self.release(rv, ra)
+
+    def _gen_exprstmt(self, stmt):
+        rd = self.temp()
+        self.gen_expr(stmt.expr, rd)
+        self.release(rd)
+
+    def _gen_block(self, stmt):
+        for s in stmt.stmts:
+            self.gen_stmt(s)
+
+    def _gen_if(self, stmt):
+        rc = self.temp()
+        self.gen_expr(stmt.cond, rc)
+        jfalse = self.emit(Op.JZ, rc, 0)
+        self.release(rc)
+        self.gen_stmt(stmt.then)
+        if stmt.els is not None:
+            jend = self.emit(Op.JMP, 0)
+            self.patch(jfalse, self.here())
+            self.gen_stmt(stmt.els)
+            self.patch(jend, self.here())
         else:
-            raise CompileError("cannot compile statement %r" % stmt)
+            self.patch(jfalse, self.here())
+
+    def _gen_while(self, stmt):
+        top = self.here()
+        rc = self.temp()
+        self.gen_expr(stmt.cond, rc)
+        jexit = self.emit(Op.JZ, rc, 0)
+        self.release(rc)
+        self.loop_stack.append((top, []))
+        self.gen_stmt(stmt.body)
+        self.cur_stmt = stmt
+        self.emit(Op.JMP, top)
+        _, breaks = self.loop_stack.pop()
+        end = self.here()
+        self.patch(jexit, end)
+        for site in breaks:
+            self.patch(site, end)
+
+    def _gen_break(self, stmt):
+        if not self.loop_stack:
+            raise CompileError("break outside loop")
+        self.loop_stack[-1][1].append(self.emit(Op.JMP, 0))
+
+    def _gen_continue(self, stmt):
+        if not self.loop_stack:
+            raise CompileError("continue outside loop")
+        self.emit(Op.JMP, self.loop_stack[-1][0])
+
+    def _gen_return(self, stmt):
+        if stmt.value is not None:
+            rv = self.temp()
+            self.gen_expr(stmt.value, rv)
+            if rv != 0:
+                self.emit(Op.MOV, 0, rv)
+            self.release(rv)
+        self.emit(Op.RET)
+
+    def _gen_spawn(self, stmt):
+        arg_regs = []
+        for arg in stmt.args:
+            r = self.temp()
+            self.gen_expr(arg, r)
+            arg_regs.append(r)
+        for i, r in enumerate(arg_regs):
+            if r != i:
+                self.emit(Op.MOV, i, r)
+        self.emit(Op.SPAWN, self.program.func_index(stmt.func), len(stmt.args))
+        if arg_regs:
+            self.release(*arg_regs)
+
+    def _gen_begin_atomic(self, stmt):
+        ra = self.temp()
+        self.gen_addr(stmt.addr, ra)
+        self.emit(Op.BEGINAT, stmt.ar_id, ra)
+        self.release(ra)
+
+    def _gen_end_atomic(self, stmt):
+        kind_code = 1 if stmt.second_kind == AccessKind.WRITE else 0
+        self.emit(Op.ENDAT, stmt.ar_id, kind_code)
+
+    def _gen_clear_ar(self, stmt):
+        self.emit(Op.CLEARAR)
+
+    def _gen_shadow_store(self, stmt):
+        ra = self.temp()
+        self.gen_addr(stmt.addr, ra)
+        self.emit(Op.SHADOWST, stmt.ar_id, ra)
+        self.release(ra)
 
     def compile(self):
         image = self.program.funcs[self.func.name]
@@ -402,6 +421,35 @@ class _FuncCompiler:
         self.cur_stmt = self.func.body
         self.emit(Op.RET)
         image.end = self.here()
+
+
+_EXPR_GEN = {
+    ast.IntLit: _FuncCompiler._gen_intlit,
+    ast.Var: _FuncCompiler._gen_var,
+    ast.Unary: _FuncCompiler._gen_unary,
+    ast.Deref: _FuncCompiler._gen_deref,
+    ast.AddrOf: _FuncCompiler._gen_addrof,
+    ast.Index: _FuncCompiler._gen_index,
+    ast.Binary: _FuncCompiler.gen_binary,
+    ast.Call: _FuncCompiler.gen_call,
+}
+
+_STMT_GEN = {
+    ast.Decl: _FuncCompiler._gen_decl,
+    ast.Assign: _FuncCompiler._gen_assign,
+    ast.ExprStmt: _FuncCompiler._gen_exprstmt,
+    ast.Block: _FuncCompiler._gen_block,
+    ast.If: _FuncCompiler._gen_if,
+    ast.While: _FuncCompiler._gen_while,
+    ast.Break: _FuncCompiler._gen_break,
+    ast.Continue: _FuncCompiler._gen_continue,
+    ast.Return: _FuncCompiler._gen_return,
+    ast.Spawn: _FuncCompiler._gen_spawn,
+    ast.BeginAtomic: _FuncCompiler._gen_begin_atomic,
+    ast.EndAtomic: _FuncCompiler._gen_end_atomic,
+    ast.ClearAr: _FuncCompiler._gen_clear_ar,
+    ast.ShadowStore: _FuncCompiler._gen_shadow_store,
+}
 
 
 def compile_program(prog_ast, pinfo=None, ar_table=None):

@@ -1,5 +1,7 @@
 """Run orchestration: prepare once, run under any config."""
 
+from functools import cached_property
+
 from repro.analysis.annotate import annotate
 from repro.analysis.normalize import normalize_program
 from repro.compiler.codegen import compile_program
@@ -16,27 +18,35 @@ from repro.runtime.userlib import KivatiRuntime
 class ProtectedProgram:
     """A mini-C program prepared for execution under Kivati.
 
-    Holds both the annotated binary and an annotation-free binary compiled
-    from the same normalized source, so overhead measurements compare
-    like-for-like code.  The source is parsed, normalized and checked
-    once: the vanilla binary is compiled from that AST before
-    :func:`annotate` rewrites it in place.
+    The source is parsed, normalized and checked once.  Preparing
+    builds the annotated binary and what a run reads of the analysis;
+    :func:`annotate` leaves the normalized AST untouched, so the
+    annotation-free binary (``vanilla_program``, for overhead
+    measurements that compare like-for-like code) is compiled from it
+    on first read, and the footprints on first read of
+    ``annotation.footprints``.
     """
 
     def __init__(self, source, interprocedural=False,
                  pointer_analysis=False):
         self.source = source
         program = normalize_program(parse(source))
-        self.vanilla_program = compile_program(program, check(program))
-        self.vanilla_program.source = source
-
         self.annotation = annotate(program, interprocedural=interprocedural,
-                                   pointer_analysis=pointer_analysis)
+                                   pointer_analysis=pointer_analysis,
+                                   pinfo=check(program))
         self.program = compile_program(
             self.annotation.ast, self.annotation.pinfo,
             self.annotation.ar_table
         )
         self.program.source = source
+
+    @cached_property
+    def vanilla_program(self):
+        """The annotation-free binary, compiled on first read."""
+        program = compile_program(self.annotation.pristine_ast,
+                                  self.annotation.pinfo)
+        program.source = self.source
+        return program
 
     @property
     def ar_table(self):
@@ -76,19 +86,23 @@ class ProtectedProgram:
             journal.faults = injector
             journal.emit(0, -1, "run-start",
                          config=config_snapshot(config, self.source))
+        conflict_inputs = {}
+        if KivatiRuntime.schedules_conflicts(config):
+            annotation = self.annotation
+            conflict_inputs = dict(
+                footprints=annotation.footprints,
+                func_footprints=annotation.func_footprints,
+                blocking_ar_ids=frozenset(
+                    ar_id for ar_id, v in annotation.prune.verdicts.items()
+                    if v.blocking),
+                coarse_vars=frozenset(
+                    name for name, size in
+                    annotation.pinfo.global_sizes.items() if size > 1))
         runtime = KivatiRuntime(
             config, self.ar_table, log, self.sync_ar_ids,
             faults=injector, degrade=degradations,
             static_safe_ar_ids=self.annotation.static_safe_ar_ids,
-            journal=journal,
-            footprints=self.annotation.footprints,
-            func_footprints=self.annotation.func_footprints,
-            blocking_ar_ids=frozenset(
-                ar_id for ar_id, v in self.annotation.prune.verdicts.items()
-                if v.blocking),
-            coarse_vars=frozenset(
-                name for name, size in
-                self.annotation.pinfo.global_sizes.items() if size > 1))
+            journal=journal, **conflict_inputs)
         machine = Machine(
             self.program,
             num_cores=config.num_cores,
@@ -118,6 +132,7 @@ class ProtectedProgram:
             # on success this flushes the run-end frame
             if journal is not None:
                 journal.close()
+            runtime.detach()
         if config.obs is not None:
             # fold this run's stats into the obs registry; observation
             # only — the report below is identical with obs on or off
@@ -138,7 +153,10 @@ class ProtectedProgram:
             seed=seed,
             max_steps=max_steps,
         )
-        return machine.run(raise_on_deadlock=raise_on_deadlock)
+        try:
+            return machine.run(raise_on_deadlock=raise_on_deadlock)
+        finally:
+            machine.runtime.detach()
 
     def overhead(self, config=None, seed=0):
         """Fractional run-time overhead of this config vs vanilla on the

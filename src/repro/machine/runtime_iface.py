@@ -26,6 +26,12 @@ class BaseRuntime:
         """Called once when the machine is constructed."""
         self.machine = machine
 
+    def detach(self):
+        """Drop the back-reference to a finished run's machine, so the
+        run's object graph is freed by reference counting instead of
+        waiting for the cyclic collector."""
+        self.machine = None
+
     def on_begin_atomic(self, core, thread, ar_id, addr):
         """Handle a begin_atomic annotation; returns cost in ns."""
         return 0

@@ -13,6 +13,8 @@ it whenever the logical state changes and each core records the epoch it
 has synced to.
 """
 
+import weakref
+
 from repro.minic.ast import AccessKind
 
 #: Table 1 of the paper: survey of hardware watchpoint support.
@@ -45,7 +47,9 @@ class WatchpointSlot:
         # thread that owns the AR is running; modelled as a per-slot set
         # consulted at match time instead of per-context-switch rewrites).
         self.suppressed_tids = None
-        self.owner = owner  # DebugRegisterFile to notify of changes, or None
+        # weak reference to the DebugRegisterFile to notify of changes
+        # (a strong one would make every register file a cycle), or None
+        self.owner = weakref.ref(owner) if owner is not None else None
 
     def configure(self, addr, size, watch_read, watch_write, suppressed_tids=None):
         self.enabled = True
@@ -54,14 +58,17 @@ class WatchpointSlot:
         self.watch_read = watch_read
         self.watch_write = watch_write
         self.suppressed_tids = suppressed_tids
-        if self.owner is not None:
-            self.owner.rebuild_armed()
+        self._notify()
 
     def disable(self):
         self.enabled = False
         self.suppressed_tids = None
-        if self.owner is not None:
-            self.owner.rebuild_armed()
+        self._notify()
+
+    def _notify(self):
+        owner = self.owner() if self.owner is not None else None
+        if owner is not None:
+            owner.rebuild_armed()
 
     def matches(self, addr, is_write, tid):
         return (self.enabled and self.addr <= addr < self.addr + self.size
@@ -83,7 +90,7 @@ class DebugRegisterFile:
     lacks ``tid``, i.e. when :meth:`match` would return a slot."""
 
     __slots__ = ("slots", "synced_epoch", "armed", "read_spans",
-                 "write_spans")
+                 "write_spans", "__weakref__")
 
     def __init__(self, num_slots=X86_NUM_WATCHPOINTS):
         self.slots = [WatchpointSlot(i, self) for i in range(num_slots)]

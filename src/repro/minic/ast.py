@@ -38,8 +38,8 @@ class Node:
         self.uid = fresh_uid()
 
     def children(self):
-        """Yield child nodes (used by generic walkers)."""
-        return iter(())
+        """Child nodes in source order (used by :func:`walk`)."""
+        return ()
 
     def __repr__(self):
         fields = []
@@ -90,7 +90,7 @@ class Unary(Expr):
         self.operand = operand
 
     def children(self):
-        yield self.operand
+        return (self.operand,)
 
 
 class Deref(Expr):
@@ -103,7 +103,7 @@ class Deref(Expr):
         self.operand = operand
 
     def children(self):
-        yield self.operand
+        return (self.operand,)
 
 
 class AddrOf(Expr):
@@ -116,7 +116,7 @@ class AddrOf(Expr):
         self.operand = operand
 
     def children(self):
-        yield self.operand
+        return (self.operand,)
 
 
 class Index(Expr):
@@ -130,8 +130,7 @@ class Index(Expr):
         self.index = index
 
     def children(self):
-        yield self.base
-        yield self.index
+        return (self.base, self.index)
 
 
 class Binary(Expr):
@@ -148,8 +147,7 @@ class Binary(Expr):
         self.right = right
 
     def children(self):
-        yield self.left
-        yield self.right
+        return (self.left, self.right)
 
 
 class Call(Expr):
@@ -163,7 +161,7 @@ class Call(Expr):
         self.args = list(args)
 
     def children(self):
-        return iter(self.args)
+        return self.args
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +189,7 @@ class Decl(Stmt):
         self.is_array = is_array if is_array is not None else size != 1
 
     def children(self):
-        if self.init is not None:
-            yield self.init
+        return () if self.init is None else (self.init,)
 
 
 class Assign(Stmt):
@@ -206,8 +203,7 @@ class Assign(Stmt):
         self.value = value
 
     def children(self):
-        yield self.target
-        yield self.value
+        return (self.target, self.value)
 
 
 class ExprStmt(Stmt):
@@ -220,7 +216,7 @@ class ExprStmt(Stmt):
         self.expr = expr
 
     def children(self):
-        yield self.expr
+        return (self.expr,)
 
 
 class Block(Stmt):
@@ -233,7 +229,7 @@ class Block(Stmt):
         self.stmts = list(stmts or [])
 
     def children(self):
-        return iter(self.stmts)
+        return self.stmts
 
 
 class If(Stmt):
@@ -246,10 +242,9 @@ class If(Stmt):
         self.els = els
 
     def children(self):
-        yield self.cond
-        yield self.then
-        if self.els is not None:
-            yield self.els
+        if self.els is None:
+            return (self.cond, self.then)
+        return (self.cond, self.then, self.els)
 
 
 class While(Stmt):
@@ -261,8 +256,7 @@ class While(Stmt):
         self.body = body
 
     def children(self):
-        yield self.cond
-        yield self.body
+        return (self.cond, self.body)
 
 
 class Break(Stmt):
@@ -281,8 +275,7 @@ class Return(Stmt):
         self.value = value
 
     def children(self):
-        if self.value is not None:
-            yield self.value
+        return () if self.value is None else (self.value,)
 
 
 class Spawn(Stmt):
@@ -296,7 +289,7 @@ class Spawn(Stmt):
         self.args = list(args)
 
     def children(self):
-        return iter(self.args)
+        return self.args
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +314,7 @@ class BeginAtomic(Stmt):
         self.addr = addr
 
     def children(self):
-        yield self.addr
+        return (self.addr,)
 
 
 class EndAtomic(Stmt):
@@ -361,7 +354,7 @@ class ShadowStore(Stmt):
         self.addr = addr
 
     def children(self):
-        yield self.addr
+        return (self.addr,)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +389,7 @@ class FuncDef(Node):
         self.body = body
 
     def children(self):
-        yield self.body
+        return (self.body,)
 
     @property
     def param_names(self):
@@ -414,8 +407,7 @@ class Program(Node):
         self.funcs = list(funcs)
 
     def children(self):
-        yield from self.globals
-        yield from self.funcs
+        return self.globals + self.funcs
 
     def func(self, name):
         """Return the FuncDef with the given name, or raise KeyError."""
@@ -433,10 +425,17 @@ class Program(Node):
 
 
 def walk(node):
-    """Yield ``node`` and all descendants in pre-order."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    """Yield ``node`` and all descendants in pre-order, children in
+    source order: one explicit stack, no generator per node."""
+    stack = [node]
+    pop = stack.pop
+    push = stack.extend
+    while stack:
+        node = pop()
+        yield node
+        children = node.children()
+        if children:
+            push(reversed(children))
 
 
 def statements(block):

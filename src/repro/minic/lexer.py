@@ -76,19 +76,19 @@ class Token:
         return hash((self.kind, self.value))
 
 
-# One master pattern, tried once per token.  Integer literals and
-# identifiers are ASCII only; any character no alternative takes falls to
-# ``bad`` and is reported where it stands.  ``open`` catches a ``/*``
-# whose ``*/`` never comes.
+# One master pattern, tried once per token; blanks before a token are
+# part of its match (the token starts at its group).  Integer literals
+# and identifiers are ASCII only; any other character no alternative
+# takes falls to ``bad`` and is reported where it stands.  ``open``
+# catches a ``/*`` whose ``*/`` never comes.
 _TOKEN_RE = re.compile(
-    r"(?P<space>[ \t\r]+)"
-    r"|(?P<newline>\n)"
+    r"[ \t\r]*(?:(?P<newline>\n)"
     r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
     r"|(?P<open>/\*)"
     r"|(?P<int>[0-9]+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + r")"
-    r"|(?P<bad>.)",
+    r"|(?P<bad>[^ \t\r]))",
     re.DOTALL,
 )
 
@@ -104,14 +104,12 @@ def tokenize(source):
     line_start = 0   # offset of the current line's first character
     for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
-        if kind == "space":
-            continue
-        start = match.start()
+        start = match.start(kind)
         if kind == "newline":
             line += 1
             line_start = start + 1
             continue
-        text = match.group()
+        text = match.group(kind)
         col = start - line_start + 1
         if kind == "op":
             append(Token("op", text, line, col))

@@ -21,24 +21,33 @@ from repro.minic import ast
 from repro.minic.lexer import tokenize
 
 
+#: binary operator -> precedence, loosest first; all left-associative
+_PRECEDENCE = {op: prec for prec, ops in enumerate(
+    (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"),
+     ("*", "/", "%")), 1) for op in ops}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.last = len(tokens) - 1   # the eof token
 
     # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, self.last)]
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if self.pos < self.last:
             self.pos += 1
         return tok
 
     def at(self, kind, value=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def accept(self, kind, value=None):
@@ -47,8 +56,8 @@ class _Parser:
         return None
 
     def expect(self, kind, value=None):
-        tok = self.peek()
-        if not self.at(kind, value):
+        tok = self.tokens[self.pos]
+        if not (tok.kind == kind and (value is None or tok.value == value)):
             want = value if value is not None else kind
             raise ParseError(
                 "expected %r, found %r" % (want, tok.value), tok.line, tok.col
@@ -56,7 +65,7 @@ class _Parser:
         return self.next()
 
     def error(self, msg):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         raise ParseError(msg, tok.line, tok.col)
 
     # -- top level -----------------------------------------------------------
@@ -84,18 +93,22 @@ class _Parser:
                 self.error("expected declaration or function")
         return ast.Program(globals_, funcs)
 
-    def parse_global(self):
+    def _declarator(self):
+        """``'int' '*'? ID ('[' INT ']')?`` -> (tok, is_ptr, name, size,
+        is_array)."""
         tok = self.expect("kw", "int")
         is_ptr = bool(self.accept("op", "*"))
         name = self.expect("id").value
-        size = 1
-        is_array = False
-        if self.accept("op", "["):
-            size = self.expect("int").value
-            self.expect("op", "]")
-            if size <= 0:
-                self.error("array size must be positive")
-            is_array = True
+        if not self.accept("op", "["):
+            return tok, is_ptr, name, 1, False
+        size = self.expect("int").value
+        self.expect("op", "]")
+        if size <= 0:
+            self.error("array size must be positive")
+        return tok, is_ptr, name, size, True
+
+    def parse_global(self):
+        tok, is_ptr, name, size, is_array = self._declarator()
         init = None
         if self.accept("op", "="):
             neg = bool(self.accept("op", "-"))
@@ -136,47 +149,30 @@ class _Parser:
         return ast.Block(stmts, tok.line, tok.col)
 
     def parse_stmt(self):
-        if self.at("op", "{"):
+        tok = self.tokens[self.pos]
+        if tok.kind == "kw" and tok.value in _STMT_KEYWORDS:
+            return _STMT_KEYWORDS[tok.value](self)
+        if tok.kind == "op" and tok.value == "{":
             return self.parse_block()
-        if self.at("kw", "int"):
-            return self.parse_decl()
-        if self.at("kw", "if"):
-            return self.parse_if()
-        if self.at("kw", "while"):
-            return self.parse_while()
-        if self.at("kw", "for"):
-            return self.parse_for()
-        if self.at("kw", "return"):
-            tok = self.next()
-            value = None
-            if not self.at("op", ";"):
-                value = self.parse_expr()
-            self.expect("op", ";")
-            return ast.Return(value, tok.line, tok.col)
-        if self.at("kw", "break"):
-            tok = self.next()
-            self.expect("op", ";")
-            return ast.Break(tok.line, tok.col)
-        if self.at("kw", "continue"):
-            tok = self.next()
-            self.expect("op", ";")
-            return ast.Continue(tok.line, tok.col)
-        if self.at("kw", "spawn"):
-            return self.parse_spawn()
         return self.parse_assign_or_expr()
 
+    def parse_return(self):
+        tok = self.next()
+        value = None
+        if not self.at("op", ";"):
+            value = self.parse_expr()
+        self.expect("op", ";")
+        return ast.Return(value, tok.line, tok.col)
+
+    def parse_jump(self):
+        """``break;`` or ``continue;``."""
+        tok = self.next()
+        self.expect("op", ";")
+        node = ast.Break if tok.value == "break" else ast.Continue
+        return node(tok.line, tok.col)
+
     def parse_decl(self):
-        tok = self.expect("kw", "int")
-        is_ptr = bool(self.accept("op", "*"))
-        name = self.expect("id").value
-        size = 1
-        is_array = False
-        if self.accept("op", "["):
-            size = self.expect("int").value
-            self.expect("op", "]")
-            if size <= 0:
-                self.error("array size must be positive")
-            is_array = True
+        tok, is_ptr, name, size, is_array = self._declarator()
         init = None
         if self.accept("op", "="):
             init = self.parse_expr()
@@ -269,33 +265,20 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self):
-        return self.parse_or()
+        return self._binary(1)
 
-    def _binary_level(self, ops, parse_next):
-        left = parse_next()
-        while self.peek().kind == "op" and self.peek().value in ops:
-            op = self.next().value
-            right = parse_next()
-            left = ast.Binary(op, left, right, left.line, left.col)
-        return left
-
-    def parse_or(self):
-        return self._binary_level(("||",), self.parse_and)
-
-    def parse_and(self):
-        return self._binary_level(("&&",), self.parse_eq)
-
-    def parse_eq(self):
-        return self._binary_level(("==", "!="), self.parse_rel)
-
-    def parse_rel(self):
-        return self._binary_level(("<", "<=", ">", ">="), self.parse_add)
-
-    def parse_add(self):
-        return self._binary_level(("+", "-"), self.parse_mul)
-
-    def parse_mul(self):
-        return self._binary_level(("*", "/", "%"), self.parse_unary)
+    def _binary(self, min_prec):
+        """Precedence climbing over :data:`_PRECEDENCE`."""
+        left = self.parse_unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            prec = _PRECEDENCE.get(tok.value) if tok.kind == "op" else None
+            if prec is None or prec < min_prec:
+                return left
+            self.next()
+            right = self._binary(prec + 1)
+            left = ast.Binary(tok.value, left, right, left.line, left.col)
 
     def parse_unary(self):
         tok = self.peek()
@@ -352,6 +335,18 @@ class _Parser:
             self.expect("op", ")")
             return expr
         self.error("expected expression")
+
+
+_STMT_KEYWORDS = {
+    "int": _Parser.parse_decl,
+    "if": _Parser.parse_if,
+    "while": _Parser.parse_while,
+    "for": _Parser.parse_for,
+    "return": _Parser.parse_return,
+    "break": _Parser.parse_jump,
+    "continue": _Parser.parse_jump,
+    "spawn": _Parser.parse_spawn,
+}
 
 
 def parse(source):

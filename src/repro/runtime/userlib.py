@@ -101,12 +101,16 @@ class KivatiRuntime(BaseRuntime):
 
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def schedules_conflicts(config):
+        """Whether a run under ``config`` installs the conflict-aware
+        scheduler, the only run-time reader of the footprints."""
+        return config.conflict_sched and config.mode == Mode.PREVENTION
+
     def attach(self, machine):
         self.machine = machine
         self.kernel.attach(machine)
-        if (self.config.conflict_sched
-                and self.config.mode == Mode.PREVENTION
-                and self.footprints):
+        if self.schedules_conflicts(self.config) and self.footprints:
             # conflict-aware scheduling only makes sense when Kivati is
             # *preventing*: bug-finding mode deliberately widens racy
             # windows, and deconflicting them would fight the pauses
@@ -116,6 +120,10 @@ class KivatiRuntime(BaseRuntime):
                 self.footprints, self.func_footprints, self.kernel,
                 self.stats, blocking_ar_ids=self.blocking_ar_ids,
                 coarse_vars=self.coarse_vars)
+
+    def detach(self):
+        self.machine = None
+        self.kernel.machine = None
 
     def _costs(self):
         return self.machine.costs
