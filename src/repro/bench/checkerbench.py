@@ -33,7 +33,6 @@ import os
 import statistics
 import tempfile
 import time
-import zlib
 from random import Random
 
 from repro.bench.schema import check_schema, progress
@@ -43,7 +42,8 @@ from repro.core.config import Mode
 from repro.core.session import ProtectedProgram
 from repro.journal.checker import check_events, check_journal
 from repro.journal.events import JournalEvent, encode_event
-from repro.journal.format import SEGMENT_MAGIC, _HEADER, JournalWriter
+from repro.journal.format import (SEGMENT_MAGIC, _HEADER, JournalWriter,
+                                  frame_bytes)
 from repro.journal.replay import record_run, replay_run
 
 SCHEMA = "kivati-checkerbench/v1"
@@ -121,11 +121,8 @@ def synthesize_journal(path, n_events, seed=0, threads=4, slots=4):
     def emit(tid, kind, **payload):
         nonlocal seq, now
         now += rng.randrange(1, 50)
-        payload_bytes = encode_event(
-            JournalEvent(seq, now, tid, kind, payload))
-        chunks.append(_HEADER.pack(len(payload_bytes),
-                                   zlib.crc32(payload_bytes)))
-        chunks.append(payload_bytes)
+        chunks.append(frame_bytes(encode_event(
+            JournalEvent(seq, now, tid, kind, payload))))
         seq += 1
 
     emit(-1, "run-start", synthetic=True, threads=threads, slots=slots)

@@ -6,7 +6,7 @@ Not a paper table — this quantifies the crash-safety extension
 recorded, then the session is killed at frame offsets sampled across the
 whole journal (``stride`` controls density; ``stride=1`` is the
 exhaustive acceptance sweep).  Every crash is followed by a full
-recovery — salvage, state reconstruction, pinned re-execution — so the
+recovery — salvage and check, pinned re-execution — so the
 table reports how many crash points resumed, how many frames the torn
 journals salvaged on average, and whether every re-execution stayed
 deterministic and postmortem-clean (the offline checker agrees with
@@ -18,7 +18,7 @@ from repro.core.config import KivatiConfig, Mode, OptLevel
 from repro.core.session import ProtectedProgram
 from repro.faults.chaos import CHAOS_SRC
 from repro.journal.checker import check_events
-from repro.journal.format import JournalWriter, read_journal
+from repro.journal.format import JournalWriter
 from repro.journal.recovery import crash_at_frame, recover
 from repro.journal.replay import record_run, report_verdicts
 
@@ -149,12 +149,11 @@ def _run_case(name, source, seed, stride, workdir):
             case.problems.append("%s seed=%d frame=%d: recovery aborted (%s)"
                                  % (name, seed, frame, result.reason))
         # salvage must never lose a pre-crash frame
-        salvaged = read_journal(path)
-        if len(salvaged.events) != frame:
+        if len(result.salvaged) != frame:
             case.divergences += 1
             case.problems.append(
                 "%s seed=%d frame=%d: salvaged %d frames, expected %d"
-                % (name, seed, frame, len(salvaged.events), frame))
+                % (name, seed, frame, len(result.salvaged), frame))
     return case
 
 
@@ -175,7 +174,7 @@ def generate(seeds=DEFAULT_SEEDS, stride=7, workloads=WORKLOADS):
         "Recovery bench: crash-at-frame sweep over journaled runs",
         ["workload", "seed", "frames", "crashes", "resumed", "aborted",
          "salvage%", "postmortem", "ok"],
-        note="each crash point = one torn journal salvaged, reconstructed "
+        note="each crash point = one torn journal salvaged, checked "
              "and re-executed pinned to the recorded schedule; salvage% = "
              "mean fraction of the full journal recovered per crash",
     )

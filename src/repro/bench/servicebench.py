@@ -41,11 +41,13 @@ from repro.bench.schema import check_schema, host
 from repro.bench.render import Table
 from repro.bench.scale import bench_config
 from repro.core.config import Mode
+from repro.errors import ConfigError
 from repro.fleet.jobs import JobSpec, app_run_jobs, digest_of
 from repro.fleet.supervisor import FleetPolicy, FleetSupervisor
 from repro.pressure.policy import PressurePolicy
 from repro.service.client import ServiceClient
 from repro.service.daemon import KivatiDaemon, ServicePolicy
+from repro.service.protocol import MAX_SOCKET_PATH_BYTES
 
 SCHEMA = "kivati-servicebench/v1"
 DEFAULT_RATES = (4.0, 8.0, 16.0)
@@ -197,6 +199,23 @@ def _inline_digests(specs):
     return sorted(r.digest() for r in result.results.values())
 
 
+def _socket_dir():
+    """A fresh ``kivati-svcbench-`` temp dir whose ``kivati.sock`` fits
+    the AF_UNIX path limit: under tempfile's dir when that is short
+    enough, else under the first standard temp dir that is."""
+    for base in (tempfile.gettempdir(), "/tmp", "/var/tmp"):
+        if not os.path.isdir(base):
+            continue
+        sockdir = tempfile.TemporaryDirectory(prefix="kivati-svcbench-",
+                                              dir=base)
+        path = os.path.join(sockdir.name, "kivati.sock")
+        if len(os.fsencode(path)) <= MAX_SOCKET_PATH_BYTES:
+            return sockdir
+        sockdir.cleanup()
+    raise ConfigError("no temp dir leaves a socket path within the "
+                      "%d-byte AF_UNIX limit" % MAX_SOCKET_PATH_BYTES)
+
+
 def generate(smoke=False, workers=2, rates=DEFAULT_RATES,
              requests_per_rate=30, scale=0.05, start_method="spawn"):
     """Run the full benchmark; returns the artifact dict."""
@@ -214,7 +233,7 @@ def generate(smoke=False, workers=2, rates=DEFAULT_RATES,
         warm_sources=warm_sources, retry_backoff_s=0.02,
         default_deadline_s=120.0, poll_s=0.005,
         pressure=PressurePolicy(suspended_watermark=2))
-    with tempfile.TemporaryDirectory(prefix="kivati-svcbench-") as sockdir:
+    with _socket_dir() as sockdir:
         socket_path = os.path.join(sockdir, "kivati.sock")
         daemon = KivatiDaemon(socket_path, policy)
         daemon.start()

@@ -306,8 +306,8 @@ def cmd_soak(args):
 
 def cmd_journal(args):
     from repro.errors import JournalError
-    from repro.journal.format import read_journal
-    from repro.journal.recovery import reconstruct_state
+    from repro.journal.checker import check_events
+    from repro.journal.stream import read_journal
 
     try:
         result = read_journal(args.journal)
@@ -324,14 +324,14 @@ def cmd_journal(args):
     for event in result.events:
         counts[event.kind] = counts.get(event.kind, 0) + 1
     print("kinds: " + " ".join("%s=%d" % kv for kv in sorted(counts.items())))
-    state = reconstruct_state(result.events)
-    print(state.describe())
+    check = check_events(result.events, damaged=result.torn)
+    print(check.describe())
     if args.events:
         for event in result.events[:args.events]:
             print("  " + event.describe())
         if len(result.events) > args.events:
             print("  ... %d more" % (len(result.events) - args.events))
-    return 0 if state.consistent else 1
+    return 0 if check.consistent else 1
 
 
 def cmd_check(args):
@@ -721,7 +721,7 @@ def cmd_obs_export(args):
 
     if args.journal:
         from repro.errors import JournalError
-        from repro.journal.format import read_journal
+        from repro.journal.stream import read_journal
 
         try:
             events = read_journal(args.journal).events

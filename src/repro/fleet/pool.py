@@ -49,7 +49,7 @@ def salvage_job(journal_dir, job_id):
         return Salvage(0, False, True, path)
     salvaged = salvage(path)
     return Salvage(len(salvaged.events), salvaged.torn,
-                   salvaged.state is None or salvaged.state.consistent, path)
+                   salvaged.check is None or salvaged.check.consistent, path)
 
 
 class PoolWorker:

@@ -1,11 +1,11 @@
 """Sound-and-complete streaming offline serializability checker.
 
-The repo's one offline verdict evaluator.  ``replay`` re-executes the
-whole program; this checker consumes a journal *frame by frame* —
-straight off a (possibly damaged) disk file via
-:mod:`repro.journal.stream` — and re-derives every serializability
-verdict in one pass with memory proportional to the number of *live*
-regions, not to the length of the trace.
+The repo's one offline verdict evaluator and its one fold of a journal
+into kernel state.  ``replay`` re-executes the whole program; this
+checker consumes a journal *frame by frame* — straight off a (possibly
+damaged) disk file via :mod:`repro.journal.stream` — and re-derives
+every serializability verdict in one pass with memory proportional to
+the number of *live* regions, not to the length of the trace.
 
 **The region model.**  Each atomic-region window is a region in the
 RegionTrack sense (arXiv:2008.04479): it opens at its ``begin`` frame,
@@ -43,15 +43,33 @@ and one unknown tail frame when the journal never closed cleanly.  The
 checker only *claims* agreement with the online detector when the
 journal is complete; on damaged journals it reports what it could prove
 and exactly how much of the record that covers.
+
+**Well-formedness.**  The same pass decides what a well-formed journal
+is, for ``kivati check``, ``kivati journal`` and crash recovery alike
+(:mod:`repro.journal.recovery` salvages through it).  An end without a
+begin, a zombie end without a zombify, a zombify without a begin, a
+disarm of a slot not armed at that generation, a wake of a thread never
+suspended and — after a ``run-start`` header — a begin or trigger on an
+epoch no ``arm`` opened are anomalies on an intact journal and
+unverified casualties after a gap.  The result also carries the state
+the journal leaves behind (run-start config, armed slots, open windows,
+zombies, suspended threads) and :attr:`CheckResult.consistent`: no
+anomaly and no sequence gap.
 """
 
 from repro.analysis.watchtype import is_unserializable
-from repro.journal.replay import events_from
+from repro.journal.replay import events_from, violation_verdict
+from repro.journal.stream import EventStream
 from repro.minic.ast import AccessKind
 
 
 def _kind(text):
     return AccessKind(text) if isinstance(text, str) else text
+
+
+#: events that only move the run header or the suspended set
+_STATE_KINDS = frozenset(("run-start", "suspend", "wake", "timeout",
+                          "watchdog"))
 
 
 class CheckerStats:
@@ -90,27 +108,31 @@ class _Epoch:
     """One (slot, arming-generation): the triggers recorded against it
     plus the number of live/zombie regions still attached."""
 
-    __slots__ = ("triggers", "refs", "armed")
+    __slots__ = ("triggers", "refs", "armed", "addr")
 
     def __init__(self):
         self.triggers = []      # (tid, kinds, time_ns, undone)
         self.refs = 0
         self.armed = True
+        self.addr = None        # the arming address, from its arm frame
 
 
 class CheckResult:
-    """Everything one streaming pass could prove, and how much of the
-    journal that covers."""
+    """Everything one streaming pass could prove, how much of the
+    journal that covers, and the kernel state the journal leaves behind
+    (what crash recovery salvages)."""
 
     __slots__ = ("verdicts", "online", "coverage", "complete",
                  "clean_close", "events_checked", "missing_events",
                  "gaps", "corruptions", "windows_checked", "windows_open",
-                 "windows_unverified", "anomalies", "stats")
+                 "windows_unverified", "anomalies", "stats", "header",
+                 "armed", "windows", "zombies", "suspended")
 
     def __init__(self, verdicts, online, coverage, complete, clean_close,
                  events_checked, missing_events, gaps, corruptions,
                  windows_checked, windows_open, windows_unverified,
-                 anomalies, stats):
+                 anomalies, stats, header, armed, windows, zombies,
+                 suspended):
         self.verdicts = verdicts        # sorted offline verdict multiset
         self.online = online            # sorted journaled verdict multiset
         self.coverage = coverage
@@ -129,6 +151,24 @@ class CheckResult:
         self.windows_unverified = windows_unverified
         self.anomalies = anomalies
         self.stats = stats
+        #: the run-start config snapshot, None if no header was read
+        self.header = header
+        self.armed = armed              # slot -> (gen, addr)
+        self.windows = windows          # open (tid, ar) windows
+        self.zombies = zombies          # zombie (tid, ar) windows
+        self.suspended = suspended      # tids suspended at stream end
+
+    @property
+    def problems(self):
+        """Why the journal is not internally consistent: every anomaly,
+        then every sequence gap (frames lost, not just torn off the
+        tail)."""
+        return self.anomalies + ["sequence gap: seq %d..%d missing" % gap
+                                 for gap in self.gaps]
+
+    @property
+    def consistent(self):
+        return not self.anomalies and not self.gaps
 
     @property
     def disagreements(self):
@@ -190,10 +230,13 @@ class CheckResult:
                          "%d corruption record(s)"
                          % (self.missing_events, len(self.gaps),
                             len(self.corruptions)))
-        if self.windows_open or self.windows_unverified:
-            lines.append("  windows: %d still open at stream end, "
-                         "%d unverifiable"
-                         % (self.windows_open, self.windows_unverified))
+        lines.append("  reconstructed state: %d armed slot(s), %d open "
+                     "window(s), %d zombie(s), %d suspended thread(s), "
+                     "%d unverifiable window(s)%s"
+                     % (len(self.armed), len(self.windows),
+                        len(self.zombies), len(self.suspended),
+                        self.windows_unverified,
+                        "" if self.clean_close else " (truncated run)"))
         for verdict in self.disagreements:
             side = ("checker-only" if verdict in self.verdicts
                     else "online-only")
@@ -218,6 +261,8 @@ class StreamingChecker:
         self._zombies = {}    # (tid, ar) -> _Region
         self._epochs = {}     # (slot, gen) -> _Epoch
         self._slot_gen = {}   # slot -> highest gen seen armed
+        self._suspended = set()
+        self._run_start = None  # the run-start payload
         self._verdicts = []
         self._online = []
         self._anomalies = []
@@ -225,7 +270,7 @@ class StreamingChecker:
         self._missing = 0
         self._first_seq = None
         self._last_seq = None
-        self._last_kind = None
+        self._last = None       # the last event fed
         self._events = 0
         self._unverified = 0
         self._retained_triggers = 0
@@ -259,7 +304,21 @@ class StreamingChecker:
                 # an epoch surfacing after its slot moved on (gap
                 # reordering) is already retired
                 epoch.armed = False
+            event = self._last
+            if event.kind == "arm":
+                epoch.addr = event.payload.get("addr")
+            elif self._run_start is not None:
+                # a framed run arms every epoch before using it; only a
+                # bare fragment may join one armed before it starts
+                self._note_damage("%s on unarmed slot %s gen %s"
+                                  % (event.kind, slot, gen))
         return epoch
+
+    def _armed_gen(self, slot):
+        """The generation ``slot`` is armed at, or None."""
+        gen = self._slot_gen.get(slot)
+        epoch = self._epochs.get((slot, gen))
+        return gen if epoch is not None and epoch.armed else None
 
     def _maybe_gc(self, slot, gen):
         epoch = self._epochs.get((slot, gen))
@@ -310,7 +369,7 @@ class StreamingChecker:
             self._gaps.append((self._last_seq + 1, seq - 1))
             self._missing += seq - self._last_seq - 1
         self._last_seq = seq
-        self._last_kind = event.kind
+        self._last = event
         self._events += 1
         kind, p, tid = event.kind, event.payload, event.tid
 
@@ -346,7 +405,14 @@ class StreamingChecker:
             self._epoch(slot, gen)
             self._note_peaks()
         elif kind == "disarm":
-            self._retire_epoch(p.get("slot"), p.get("gen"))
+            slot, gen = p.get("slot"), p.get("gen")
+            armed = self._armed_gen(slot)
+            if armed is None:
+                self._note_damage("disarm of slot %s never armed" % slot)
+            elif armed != gen:
+                self._note_damage("disarm gen %s != armed gen %s"
+                                  % (gen, armed))
+            self._retire_epoch(slot, gen)
         elif kind == "zombify":
             key = (tid, p["ar"])
             region = self._regions.pop(key, None)
@@ -365,20 +431,26 @@ class StreamingChecker:
             source = self._zombies if p.get("zombie") else self._regions
             region = source.pop(key, None)
             if region is None:
-                self._note_damage("%send of AR %d (tid %d) without %s"
+                self._note_damage("%send of AR %d (tid %d) %s"
                                   % ("zombie " if p.get("zombie") else "",
                                      p["ar"], tid,
-                                     "zombify" if p.get("zombie")
-                                     else "begin"))
+                                     "without zombify" if p.get("zombie")
+                                     else "never begun"))
             else:
                 self._evaluate(region, p.get("second"),
                                bool(p.get("zombie")))
                 self._detach(region)
         elif kind == "violation":
-            self._online.append(
-                (p.get("ar"), tid, p.get("remote_tid"), p.get("first"),
-                 p.get("remote"), p.get("second"),
-                 bool(p.get("prevented"))))
+            self._online.append(violation_verdict(event))
+        elif kind in _STATE_KINDS:
+            if kind == "run-start":
+                self._run_start = p
+            elif kind == "suspend":
+                self._suspended.add(tid)
+            else:
+                if kind == "wake" and tid not in self._suspended:
+                    self._note_damage("wake of tid %d never suspended" % tid)
+                self._suspended.discard(tid)
 
     def _note_damage(self, text):
         """A structural impossibility: an anomaly on an intact journal, an
@@ -386,7 +458,10 @@ class StreamingChecker:
         if self._missing or self._gaps:
             self._unverified += 1
         else:
-            self._anomalies.append(text)
+            event = self._last
+            self._anomalies.append("event %d (%s at t=%dns): %s"
+                                   % (event.seq, event.kind, event.time_ns,
+                                      text))
 
     def finish(self, corruptions=(), damaged=False):
         """Close the pass; returns the :class:`CheckResult`.
@@ -398,7 +473,7 @@ class StreamingChecker:
         """
         corruption_dicts = [c.as_dict() if hasattr(c, "as_dict") else dict(c)
                             for c in corruptions]
-        clean_close = self._last_kind == "run-end"
+        clean_close = self._last is not None and self._last.kind == "run-end"
         head_missing = self._first_seq or 0
         known_missing = self._missing + head_missing
         if not clean_close:
@@ -430,6 +505,14 @@ class StreamingChecker:
             windows_unverified=self._unverified,
             anomalies=list(self._anomalies),
             stats=self.stats,
+            header=(self._run_start.get("config")
+                    if self._run_start is not None else None),
+            armed={slot: (gen, self._epochs[(slot, gen)].addr)
+                   for slot, gen in self._slot_gen.items()
+                   if self._armed_gen(slot) is not None},
+            windows=sorted(self._regions),
+            zombies=sorted(self._zombies),
+            suspended=set(self._suspended),
         )
 
 
@@ -449,8 +532,6 @@ def check_journal(journal):
     exception), or a JournalRecorder / JournalReadResult / event list.
     """
     if isinstance(journal, str):
-        from repro.journal.stream import EventStream
-
         stream = EventStream(journal)
         checker = StreamingChecker()
         for event in stream:

@@ -6,16 +6,20 @@ Layout of one segment file::
     frames    <u32 payload length> <u32 crc32(payload)> <payload bytes>
 
 Payloads are canonical JSON event records (:mod:`repro.journal.events`).
-The writer flushes after every frame so a crash loses at most the frame
-being written; the reader is torn-tail tolerant — it stops at the first
-corrupt frame (bad magic, truncated header or payload, CRC mismatch,
-undecodable record) and keeps every frame before it.
+This module owns the writer side: :func:`frame_bytes` is the one frame
+encoder, and the writer flushes after every frame so a crash loses at
+most the frame being written.  Frames are decoded in one place,
+:class:`repro.journal.stream.EventStream`; its strict prefix view
+:func:`repro.journal.stream.read_journal` is torn-tail tolerant — it
+stops at the first damage (bad magic, truncated header or payload, CRC
+mismatch, undecodable record, non-advancing sequence number) and keeps
+every frame before it.
 
 Rotation keeps disk usage bounded: when the active segment exceeds
 ``max_bytes`` it is shifted to ``path.1`` (``path.1`` to ``path.2``, and
 so on) and segments beyond ``max_segments`` are deleted, oldest first.
-The reader stitches ``path.N`` (oldest) .. ``path.1``, ``path`` back into
-one stream; sequence numbers recorded in the frames survive rotation, so
+:func:`segment_paths` lists ``path.N`` (oldest) .. ``path.1``, ``path``
+so the reader stitches them back into one stream; sequence numbers recorded in the frames survive rotation, so
 a journal whose oldest segments were pruned still aligns with a fresh
 re-execution by seq.
 """
@@ -25,7 +29,7 @@ import struct
 import zlib
 
 from repro.errors import JournalError
-from repro.journal.events import EVENT_KINDS, decode_event, encode_event
+from repro.journal.events import encode_event
 
 SEGMENT_MAGIC = b"KIVATIJ1"
 _HEADER = struct.Struct("<II")
@@ -128,69 +132,6 @@ class JournalWriter:
         return self._file is None
 
 
-class JournalReadResult:
-    """Outcome of reading a journal from disk."""
-
-    __slots__ = ("events", "torn", "segments_read", "valid_bytes",
-                 "torn_segment")
-
-    def __init__(self, events, torn, segments_read, valid_bytes,
-                 torn_segment=None):
-        self.events = events
-        #: True if the stream ended at a corrupt/truncated frame.
-        self.torn = torn
-        self.segments_read = segments_read
-        #: Bytes of the last segment read that framed cleanly.
-        self.valid_bytes = valid_bytes
-        #: Path of the segment holding the corruption, if any.
-        self.torn_segment = torn_segment
-
-    @property
-    def first_seq(self):
-        return self.events[0].seq if self.events else None
-
-    @property
-    def last_seq(self):
-        return self.events[-1].seq if self.events else None
-
-    def __len__(self):
-        return len(self.events)
-
-
-def _read_segment(path):
-    """Read one segment; returns (events, clean, valid_bytes)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data:
-        return [], True, 0
-    if not data.startswith(SEGMENT_MAGIC):
-        return [], False, 0
-    events = []
-    offset = len(SEGMENT_MAGIC)
-    while True:
-        if offset == len(data):
-            return events, True, offset
-        if len(data) - offset < _HEADER.size:
-            return events, False, offset
-        length, crc = _HEADER.unpack_from(data, offset)
-        if length > MAX_FRAME_BYTES:
-            return events, False, offset
-        start = offset + _HEADER.size
-        if len(data) - start < length:
-            return events, False, offset
-        payload = data[start:start + length]
-        if zlib.crc32(payload) != crc:
-            return events, False, offset
-        try:
-            event = decode_event(payload)
-        except JournalError:
-            return events, False, offset
-        if event.kind not in EVENT_KINDS:
-            return events, False, offset
-        events.append(event)
-        offset = start + length
-
-
 def segment_paths(path):
     """Existing segment files, oldest first (``path.N`` .. ``path``)."""
     paths = []
@@ -202,25 +143,3 @@ def segment_paths(path):
     if os.path.exists(path):
         paths.append(path)
     return paths
-
-def read_journal(path):
-    """Read a (possibly rotated, possibly torn) journal.
-
-    Stops at the first corrupt frame anywhere in the stream and keeps
-    everything before it, per the torn-tail contract.
-    """
-    paths = segment_paths(path)
-    if not paths:
-        raise JournalError("no journal at %s" % path)
-    events = []
-    segments_read = 0
-    valid_bytes = 0
-    for seg in paths:
-        seg_events, clean, seg_bytes = _read_segment(seg)
-        events.extend(seg_events)
-        segments_read += 1
-        valid_bytes = seg_bytes
-        if not clean:
-            return JournalReadResult(events, True, segments_read,
-                                     valid_bytes, torn_segment=seg)
-    return JournalReadResult(events, False, segments_read, valid_bytes)

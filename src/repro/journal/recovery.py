@@ -3,16 +3,17 @@
 A monitoring session that dies mid-run (provoked on demand by the
 ``journal.crash`` injection point) leaves behind a journal that ends at
 an arbitrary frame boundary, possibly with a torn partial frame after it.
-Recovery proceeds in three steps:
+Recovery proceeds in two steps:
 
-1. **Salvage** — the torn-tolerant reader keeps every complete frame
-   before the first corruption.
-2. **Reconstruct** — fold the salvaged events into the kernel/runtime
+1. **Salvage** — the strict prefix reader
+   (:func:`repro.journal.stream.read_journal`) keeps every complete
+   frame before the first damage, and the streaming checker, the one
+   fold of a journal into state, folds them into the kernel/runtime
    state they imply (armed watchpoint slots, open AR windows, suspended
-   threads, zombie ARs) and validate its internal consistency: a journal
-   whose events contradict each other indicates lost frames, not just a
-   torn tail.
-3. **Resume or abort** — a simulated machine cannot continue from the
+   threads, zombie ARs) and checks that state's consistency: a prefix
+   whose events contradict each other, or skip a sequence number, lost
+   frames — it was not just torn.
+2. **Resume or abort** — a simulated machine cannot continue from the
    middle of a run, so "resume" means deterministic re-execution: rebuild
    the config from the run-start header (stripping ``journal.crash`` so
    the re-run outlives the recorded crash), replay pinned to the salvaged
@@ -22,146 +23,23 @@ Recovery proceeds in three steps:
 """
 
 from repro.errors import JournalCrash, JournalError
-from repro.journal.format import read_journal
+from repro.journal.checker import check_events
 from repro.journal.recorder import JournalRecorder
 from repro.journal.replay import replay_run
-
-
-class OpenWindow:
-    """An AR window the journal opened but never closed."""
-
-    __slots__ = ("tid", "ar", "slot", "gen", "first", "begin_time", "zombie")
-
-    def __init__(self, tid, ar, slot, gen, first, begin_time, zombie=False):
-        self.tid = tid
-        self.ar = ar
-        self.slot = slot
-        self.gen = gen
-        self.first = first
-        self.begin_time = begin_time
-        self.zombie = zombie
-
-    def __repr__(self):
-        return "OpenWindow(tid=%d, ar=%d, slot=%s, gen=%s%s)" % (
-            self.tid, self.ar, self.slot, self.gen,
-            ", zombie" if self.zombie else "")
-
-
-class ReconstructedState:
-    """Kernel/runtime state implied by a (possibly truncated) journal."""
-
-    def __init__(self):
-        self.header = None          # run-start config snapshot
-        self.completed = False      # saw run-end
-        self.armed = {}             # slot -> (gen, addr)
-        self.windows = {}           # (tid, ar) -> OpenWindow
-        self.zombies = {}           # (tid, ar) -> OpenWindow
-        self.suspended = set()      # tids currently suspended
-        self.violations = []        # violation event payload-tuples
-        self.counts = {}            # kind -> events seen
-        self.problems = []          # consistency violations (strings)
-
-    @property
-    def consistent(self):
-        return not self.problems
-
-    def _problem(self, event, text):
-        self.problems.append("event %d (%s at t=%dns): %s"
-                             % (event.seq, event.kind, event.time_ns, text))
-
-    def apply(self, event):
-        self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
-        kind, p, tid = event.kind, event.payload, event.tid
-        if kind == "run-start":
-            self.header = p.get("config")
-        elif kind == "run-end":
-            self.completed = True
-        elif kind == "arm":
-            self.armed[p["slot"]] = (p["gen"], p["addr"])
-        elif kind == "disarm":
-            slot = p["slot"]
-            if slot not in self.armed:
-                self._problem(event, "disarm of slot %d never armed" % slot)
-            elif self.armed[slot][0] != p["gen"]:
-                self._problem(event, "disarm gen %s != armed gen %s"
-                              % (p["gen"], self.armed[slot][0]))
-            self.armed.pop(slot, None)
-        elif kind == "begin":
-            slot, gen = p.get("slot"), p.get("gen")
-            if slot is not None and self.armed.get(slot, (None,))[0] != gen:
-                self._problem(event, "begin on slot %s gen %s, armed %s"
-                              % (slot, gen, self.armed.get(slot)))
-            self.windows[(tid, p["ar"])] = OpenWindow(
-                tid, p["ar"], slot, gen, p.get("first"), event.time_ns)
-        elif kind == "trigger":
-            slot, gen = p.get("slot"), p.get("gen")
-            if self.armed.get(slot, (None,))[0] != gen:
-                self._problem(event, "trigger on slot %s gen %s, armed %s"
-                              % (slot, gen, self.armed.get(slot)))
-        elif kind == "end":
-            key = (tid, p["ar"])
-            if p.get("zombie"):
-                if key not in self.zombies:
-                    self._problem(event, "zombie end without zombify")
-                self.zombies.pop(key, None)
-            elif self.windows.pop(key, None) is None:
-                self._problem(event, "end of AR %d never begun" % p["ar"])
-        elif kind == "clear":
-            # clears are legal no-ops when the AR was whitelisted/missed
-            self.windows.pop((tid, p["ar"]), None)
-        elif kind == "zombify":
-            window = self.windows.pop((tid, p["ar"]), None)
-            if window is None:
-                window = OpenWindow(tid, p["ar"], p.get("slot"), p.get("gen"),
-                                    None, p.get("begin_time", event.time_ns))
-            window.zombie = True
-            self.zombies[(tid, p["ar"])] = window
-        elif kind == "suspend":
-            self.suspended.add(tid)
-        elif kind == "wake":
-            if tid not in self.suspended:
-                self._problem(event, "wake of tid %d never suspended" % tid)
-            self.suspended.discard(tid)
-        elif kind in ("timeout", "watchdog"):
-            self.suspended.discard(tid)
-        elif kind == "violation":
-            self.violations.append((p.get("ar"), tid, p.get("remote_tid"),
-                                    p.get("first"), p.get("remote"),
-                                    p.get("second"), bool(p.get("prevented"))))
-
-    def describe(self):
-        lines = ["reconstructed state: %d armed slots, %d open windows, "
-                 "%d zombies, %d suspended, %d violations%s"
-                 % (len(self.armed), len(self.windows), len(self.zombies),
-                    len(self.suspended), len(self.violations),
-                    ", complete" if self.completed else " (truncated run)")]
-        lines.extend("  INCONSISTENT: %s" % text for text in self.problems)
-        return "\n".join(lines)
-
-
-def reconstruct_state(events):
-    """Fold an event stream into a :class:`ReconstructedState`."""
-    state = ReconstructedState()
-    prev_seq = None
-    for event in events:
-        if prev_seq is not None and event.seq != prev_seq + 1:
-            state._problem(event, "sequence gap after %d" % prev_seq)
-        prev_seq = event.seq
-        state.apply(event)
-    return state
+from repro.journal.stream import read_journal
 
 
 class RecoveryResult:
     """Outcome of one crash-recovery attempt."""
 
-    __slots__ = ("action", "reason", "salvaged", "torn", "state", "replay")
+    __slots__ = ("action", "reason", "salvaged", "torn", "check", "replay")
 
-    def __init__(self, action, reason, salvaged, torn, state, replay):
+    def __init__(self, action, reason, salvaged, torn, check, replay):
         self.action = action      # "resumed" or "aborted"
         self.reason = reason
         self.salvaged = salvaged  # events recovered from the journal
         self.torn = torn
-        self.state = state        # ReconstructedState or None
+        self.check = check        # CheckResult of the salvage, or None
         self.replay = replay      # ReplayResult or None
 
     @property
@@ -176,28 +54,28 @@ class RecoveryResult:
         lines = ["recovery: %s (%s); salvaged %d frames%s"
                  % (self.action.upper(), self.reason, len(self.salvaged),
                     ", torn tail" if self.torn else "")]
-        if self.state is not None:
-            lines.append(self.state.describe())
+        if self.check is not None:
+            lines.append(self.check.describe())
         if self.replay is not None and self.replay.divergence is not None:
             lines.append(self.replay.divergence.describe())
         return "\n".join(lines)
 
 
 class SalvageResult:
-    """Step 1+2 of recovery without re-execution: what a torn journal
-    yields once read tolerantly and folded into implied state.
+    """Step 1 of recovery, without re-execution: what a torn journal
+    yields once read up to its first damage and checked.
 
     The fleet supervisor uses this to triage a crashed worker's journal
     cheaply (frames salvaged, internal consistency, whether the header
     survived) before deciding to pay for a full deterministic re-run.
     """
 
-    __slots__ = ("path", "events", "state", "torn", "reason")
+    __slots__ = ("path", "events", "check", "torn", "reason")
 
-    def __init__(self, path, events, state, torn, reason):
+    def __init__(self, path, events, check, torn, reason):
         self.path = path
         self.events = events
-        self.state = state        # ReconstructedState or None
+        self.check = check        # CheckResult, or None with no frames
         self.torn = torn
         self.reason = reason
 
@@ -207,12 +85,8 @@ class SalvageResult:
         least one frame, a surviving run-start header, and no internal
         contradictions (contradictions mean frames were *lost*, not just
         torn off the tail)."""
-        return (bool(self.events) and self.state is not None
-                and self.state.header is not None and self.state.consistent)
-
-    @property
-    def completed(self):
-        return self.state is not None and self.state.completed
+        return (self.check is not None and self.check.header is not None
+                and self.check.consistent)
 
     def describe(self):
         return "salvage of %s: %d frames%s — %s" % (
@@ -221,68 +95,53 @@ class SalvageResult:
 
 
 def salvage(journal_path):
-    """Read a (possibly torn) journal and reconstruct its implied state.
+    """Read the strict prefix of a (possibly torn) journal and check it.
 
     Never raises: an unreadable journal is reported as an empty, not-ok
-    salvage.  This is the cheap triage step shared by :func:`recover`
-    and the fleet supervisor's crashed-worker handling.
+    salvage.  This is the triage step of :func:`recover` and of the
+    fleet supervisor's crashed-worker handling.
     """
     try:
         result = read_journal(journal_path)
     except JournalError as exc:
         return SalvageResult(journal_path, [], None, False,
                              "unreadable journal: %s" % exc)
-    events = list(result.events)
+    events = result.events
     if not events:
         return SalvageResult(journal_path, events, None, result.torn,
                              "no complete frame survived")
-    state = reconstruct_state(events)
-    if state.header is None:
+    check = check_events(events, damaged=result.torn)
+    if check.header is None:
         reason = "run-start header lost (rotated away or torn)"
-    elif not state.consistent:
+    elif not check.consistent:
         reason = ("journal is internally inconsistent (%d problems — "
-                  "frames lost, not just torn)" % len(state.problems))
+                  "frames lost, not just torn)" % len(check.problems))
     else:
         reason = "%d frames form a consistent prefix" % len(events)
-    return SalvageResult(journal_path, events, state, result.torn, reason)
+    return SalvageResult(journal_path, events, check, result.torn, reason)
 
 
 def recover(program, journal_path):
     """Recover a crashed session from its on-disk journal."""
+    salvaged = salvage(journal_path)
+    events, torn, check = salvaged.events, salvaged.torn, salvaged.check
+    if not salvaged.ok:
+        return RecoveryResult("aborted", salvaged.reason, events, torn,
+                              check, None)
     try:
-        result = read_journal(journal_path)
-    except JournalError as exc:
-        return RecoveryResult("aborted", "unreadable journal: %s" % exc,
-                              [], False, None, None)
-    salvaged = list(result.events)
-    if not salvaged:
-        return RecoveryResult("aborted", "no complete frame survived",
-                              salvaged, result.torn, None, None)
-    state = reconstruct_state(salvaged)
-    if state.header is None:
-        return RecoveryResult(
-            "aborted", "run-start header lost (rotated away or torn)",
-            salvaged, result.torn, state, None)
-    if not state.consistent:
-        return RecoveryResult(
-            "aborted", "journal is internally inconsistent "
-            "(%d problems — frames lost, not just torn)"
-            % len(state.problems), salvaged, result.torn, state, None)
-    try:
-        replay = replay_run(program, salvaged,
+        replay = replay_run(program, events,
                             drop_fault_points=("journal.crash",))
     except JournalCrash as exc:  # pragma: no cover - defense in depth
         return RecoveryResult("aborted", "re-execution crashed again: %s"
-                              % exc, salvaged, result.torn, state, None)
+                              % exc, events, torn, check, None)
     if replay.divergence is not None:
         return RecoveryResult(
             "aborted", "salvaged frames are not a prefix of the "
-            "re-executed run", salvaged, result.torn, state, replay)
-    action = "resumed"
-    reason = ("re-executed to completion; %d salvaged frames verified "
-              "as a clean prefix" % len(salvaged))
-    return RecoveryResult(action, reason, salvaged, result.torn, state,
-                          replay)
+            "re-executed run", events, torn, check, replay)
+    return RecoveryResult(
+        "resumed", "re-executed to completion; %d salvaged frames "
+        "verified as a clean prefix" % len(events), events, torn, check,
+        replay)
 
 
 def crash_at_frame(program, config, frame, writer, torn=1):
@@ -309,6 +168,5 @@ def crash_at_frame(program, config, frame, writer, torn=1):
     return None
 
 
-__all__ = ["OpenWindow", "ReconstructedState", "RecoveryResult",
-           "SalvageResult", "crash_at_frame", "reconstruct_state",
-           "recover", "salvage"]
+__all__ = ["RecoveryResult", "SalvageResult", "crash_at_frame", "recover",
+           "salvage"]

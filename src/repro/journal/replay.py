@@ -13,10 +13,10 @@ construction every later mismatch is noise caused by the first one.
 """
 
 from repro.errors import JournalError
-from repro.journal.format import read_journal
 from repro.journal.recorder import JournalRecorder
 from repro.journal.snapshot import (config_from_snapshot, config_snapshot,
                                     source_digest)
+from repro.journal.stream import read_journal
 from repro.machine.threads import ThreadState
 
 
@@ -138,16 +138,18 @@ def first_divergence(recorded, replayed, allow_longer_replay=False):
     return None
 
 
+def violation_verdict(event):
+    """The verdict tuple a ``violation`` frame journals: (ar, local tid,
+    remote tid, first, remote, second, prevented)."""
+    p = event.payload
+    return (p.get("ar"), event.tid, p.get("remote_tid"), p.get("first"),
+            p.get("remote"), p.get("second"), bool(p.get("prevented")))
+
+
 def verdict_multiset(events):
     """Canonical multiset of violation verdicts in an event stream."""
-    verdicts = []
-    for event in events:
-        if event.kind == "violation":
-            p = event.payload
-            verdicts.append((p.get("ar"), event.tid, p.get("remote_tid"),
-                             p.get("first"), p.get("remote"), p.get("second"),
-                             bool(p.get("prevented"))))
-    return sorted(verdicts)
+    return sorted(violation_verdict(event) for event in events
+                  if event.kind == "violation")
 
 
 def report_verdicts(report):
@@ -255,4 +257,5 @@ def replay_run(program, journal, check_source=True, pin=True,
 
 __all__ = ["Divergence", "ReplayResult", "SchedulePin", "events_from",
            "first_divergence", "record_run", "replay_run",
-           "report_verdicts", "run_start_snapshot", "verdict_multiset"]
+           "report_verdicts", "run_start_snapshot", "verdict_multiset",
+           "violation_verdict"]

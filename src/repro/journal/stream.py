@@ -1,31 +1,35 @@
-"""Streaming, corruption-tolerant journal reader.
+"""The journal reader: the one frame decoder.
 
-:func:`repro.journal.format.read_journal` honors the torn-tail contract:
-it stops at the *first* corrupt frame and keeps everything before it.
-That is the right posture for recovery (a salvaged prefix must be a
-verified prefix), but the offline checker wants the opposite trade: keep
-producing verdicts from whatever survives, however the file was damaged.
-This module provides that reader:
+:class:`EventStream` decodes the CRC-framed segments written by
+:class:`repro.journal.format.JournalWriter` and has two postures, one
+per caller:
 
-- **streaming** — segments are memory-mapped read-only and parsed frame
-  by frame, so a million-event journal is checked without building the
-  event list in memory and the OS keeps residency bounded to the pages
-  being walked;
-- **resynchronizing** — a mid-file corruption (flipped bytes, a torn
-  rotation boundary, an overwritten region) is recorded and then
-  *scanned past*: the reader hunts byte-by-byte for the next plausible
-  frame header whose length is sane, whose CRC matches, whose payload
-  decodes to a known event kind and whose sequence number advances the
-  stream.  A 32-bit CRC plus those structural checks make a false
-  resync astronomically unlikely;
-- **accounting, not exceptions** — every skipped byte range becomes a
-  :class:`Corruption` record and every lost frame range a sequence gap;
-  the checker turns both into an explicit coverage fraction instead of
-  a crash or a silent full-pass claim.
+- **resynchronizing** (the offline checker) — keep producing events
+  from whatever survives, however the file was damaged.  A mid-file
+  corruption (flipped bytes, a torn rotation boundary, an overwritten
+  region) is recorded and then *scanned past*: the reader hunts
+  byte-by-byte for the next plausible frame header whose length is
+  sane, whose CRC matches, whose payload decodes to a known event kind
+  and whose sequence number advances the stream.  A 32-bit CRC plus
+  those structural checks make a false resync astronomically unlikely;
+- **strict prefix** (:func:`read_journal`, hence recovery) — the
+  torn-tail contract: stop at the *first* damage anywhere and keep
+  every frame before it, because a salvaged prefix must be a verified
+  prefix.
 
-Rotated journals stitch ``path.N`` (oldest) .. ``path`` exactly like the
-strict reader; a pruned-oldest rotation simply surfaces as a stream that
-starts at a non-zero sequence number.
+Either way segments are parsed frame by frame, so a million-event
+journal is checked without building the event list in memory.  The
+checker memory-maps each segment read-only; the strict prefix reads a
+copy, because recovery and replay verification may read a journal that
+another process is rewriting, and a mapping of a file truncated under
+it faults.  Damage is **accounted, not raised**: every
+skipped byte range becomes a :class:`Corruption` record.  The checker
+turns those and the sequence gaps into an explicit coverage fraction
+instead of a crash or a silent full-pass claim.
+
+Rotated journals stitch ``path.N`` (oldest) .. ``path``; a
+pruned-oldest rotation simply surfaces as a stream that starts at a
+non-zero sequence number.
 """
 
 import mmap
@@ -66,13 +70,18 @@ class Corruption:
 
 
 class EventStream:
-    """Iterate journal events across all segments, resynchronizing past
-    damage.  Iterate first; the accounting attributes (``corruptions``,
-    ``frames``, ``bytes_skipped``, ``segments_read``) are final once the
-    iterator is exhausted."""
+    """Iterate journal events across all segments.  Iterate first; the
+    accounting attributes (``corruptions``, ``frames``,
+    ``bytes_skipped``, ``segments_read``) are final once the iterator is
+    exhausted.
 
-    def __init__(self, path):
+    ``resync`` picks the posture: scan past damage (the checker), or
+    end the stream at the first damage (:func:`read_journal`).
+    """
+
+    def __init__(self, path, resync=True):
         self.path = path
+        self.resync = resync
         self.corruptions = []
         self.frames = 0
         self.segments_read = 0
@@ -89,16 +98,25 @@ class EventStream:
             raise JournalError("no journal at %s" % self.path)
         for seg in paths:
             with open(seg, "rb") as f:
-                try:
-                    view = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-                except (ValueError, OSError):
-                    view = f.read()  # empty or unmappable: small anyway
+                if not self.resync:
+                    # the strict prefix reads a snapshot: a segment that a
+                    # writer truncates under a mapping faults (SIGBUS)
+                    # instead of reading short
+                    view = f.read()
+                else:
+                    try:
+                        view = mmap.mmap(f.fileno(), 0,
+                                         access=mmap.ACCESS_READ)
+                    except (ValueError, OSError):
+                        view = f.read()  # empty or unmappable: small anyway
             try:
                 yield from self._iter_segment(view, seg)
             finally:
                 if isinstance(view, mmap.mmap):
                     view.close()
             self.segments_read += 1
+            if self.corruptions and not self.resync:
+                return
 
     # ------------------------------------------------------------------
 
@@ -182,6 +200,8 @@ class EventStream:
     def _resync(self, data, start):
         """Scan forward from ``start`` for the next valid frame; returns
         (event, (frame_offset, frame_bytes)) or (None, None)."""
+        if not self.resync:
+            return None, None
         for offset in range(start, len(data)):
             event, frame_bytes = self._try_frame(data, offset)
             if event is not None:
@@ -189,11 +209,51 @@ class EventStream:
         return None, None
 
 
-def stream_events(path):
-    """Convenience: returns (iterator, EventStream) so callers can read
-    the damage accounting after exhausting the iterator."""
-    stream = EventStream(path)
-    return iter(stream), stream
+class JournalReadResult:
+    """The strict prefix of a journal: every frame before the first
+    damage."""
+
+    __slots__ = ("events", "torn", "segments_read", "valid_bytes",
+                 "torn_segment")
+
+    def __init__(self, events, torn, segments_read, valid_bytes,
+                 torn_segment=None):
+        self.events = events
+        #: True if the stream ended at a corrupt/truncated frame.
+        self.torn = torn
+        self.segments_read = segments_read
+        #: Bytes of the last segment read that framed cleanly.
+        self.valid_bytes = valid_bytes
+        #: Path of the segment holding the corruption, if any.
+        self.torn_segment = torn_segment
+
+    @property
+    def first_seq(self):
+        return self.events[0].seq if self.events else None
+
+    @property
+    def last_seq(self):
+        return self.events[-1].seq if self.events else None
+
+    def __len__(self):
+        return len(self.events)
 
 
-__all__ = ["Corruption", "EventStream", "stream_events"]
+def read_journal(path):
+    """Read a (possibly rotated, possibly torn) journal.
+
+    Stops at the first damage anywhere in the stream (a corrupt or
+    truncated frame, or one whose sequence number does not advance) and
+    keeps everything before it, per the torn-tail contract.
+    """
+    stream = EventStream(path, resync=False)
+    events = list(stream)
+    if stream.corruptions:
+        damage = stream.corruptions[0]
+        return JournalReadResult(events, True, stream.segments_read,
+                                 damage.offset, torn_segment=damage.segment)
+    return JournalReadResult(events, False, stream.segments_read,
+                             os.path.getsize(segment_paths(path)[-1]))
+
+
+__all__ = ["Corruption", "EventStream", "JournalReadResult", "read_journal"]

@@ -60,8 +60,8 @@ from repro.fleet.jobs import JobSpec
 from repro.fleet.pool import WorkerPool
 from repro.fleet.worker import verify_journal
 from repro.pressure.policy import PressurePolicy
-from repro.service.protocol import (error_response, ok_response, recv_frame,
-                                    send_frame)
+from repro.service.protocol import (MAX_SOCKET_PATH_BYTES, error_response,
+                                    ok_response, recv_frame, send_frame)
 
 #: job kinds a service request may carry; ``suite`` payloads are live
 #: pickled objects and cannot cross the JSON wire
@@ -192,6 +192,11 @@ class KivatiDaemon:
     """The `kivati serve` daemon; see module docstring."""
 
     def __init__(self, socket_path, policy=None, journal_root=None):
+        size = len(os.fsencode(socket_path))
+        if size > MAX_SOCKET_PATH_BYTES:
+            raise ConfigError(
+                "socket path is %d bytes, over the %d-byte AF_UNIX limit: %s"
+                % (size, MAX_SOCKET_PATH_BYTES, socket_path))
         self.socket_path = socket_path
         self.policy = policy if policy is not None else ServicePolicy()
         self.journal_root = journal_root

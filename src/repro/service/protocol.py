@@ -30,6 +30,10 @@ _HEADER = struct.Struct(">I")
 #: not trigger a huge read (mirrors the journal format's cap).
 MAX_FRAME_BYTES = 1 << 24
 
+#: Longest Unix-domain socket path in bytes: ``sun_path`` holds 108
+#: bytes on Linux, the terminating NUL included.
+MAX_SOCKET_PATH_BYTES = 107
+
 #: Stable error kinds a response's ``error.kind`` may carry.
 ERROR_KINDS = (
     "malformed-frame",   # undecodable/oversized frame; connection closes
@@ -129,5 +133,6 @@ def connect(socket_path, timeout=None):
     return sock
 
 
-__all__ = ["ERROR_KINDS", "MAX_FRAME_BYTES", "canonical_bytes", "connect",
-           "error_response", "ok_response", "recv_frame", "send_frame"]
+__all__ = ["ERROR_KINDS", "MAX_FRAME_BYTES", "MAX_SOCKET_PATH_BYTES",
+           "canonical_bytes", "connect", "error_response", "ok_response",
+           "recv_frame", "send_frame"]

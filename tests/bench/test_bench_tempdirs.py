@@ -65,6 +65,31 @@ def test_servicebench_removes_its_socket_dir(fresh_tempdir, monkeypatch):
     assert _left(fresh_tempdir, "kivati-serve-") == []
 
 
+def test_servicebench_socket_fits_under_a_deep_tempdir(tmp_path,
+                                                       monkeypatch):
+    """Under a temp dir too deep for an AF_UNIX path, servicebench puts
+    its socket dir under a shorter standard temp dir and still removes
+    it."""
+    deep = tmp_path / ("d" * 50) / ("e" * 50)
+    deep.mkdir(parents=True)
+    monkeypatch.setattr(tempfile, "tempdir", str(deep))
+    assert len(os.path.join(str(deep), "kivati-svcbench-12345678",
+                            "kivati.sock")) > 107
+    seen = {}
+
+    def short_run(daemon, socket_path, *args):
+        seen["socket"] = socket_path
+        return {}
+
+    monkeypatch.setattr(servicebench, "_generate_against", short_run)
+    payload = servicebench.generate(workers=1, rates=(5.0, 10.0, 20.0),
+                                    scale=0.03, start_method="fork")
+    assert len(os.fsencode(seen["socket"])) <= 107
+    assert payload["drain"] == {"ok": True, "socket_removed": True}
+    assert not os.path.exists(os.path.dirname(seen["socket"]))
+    assert _left(deep, "kivati-svcbench-") == []
+
+
 @pytest.mark.parametrize("workers", [0, 2])
 def test_fleet_batch_removes_its_journal_root(fresh_tempdir, workers):
     specs = [micro_spec(CONFIG, "tmp-%d" % i, 50 + i) for i in range(3)]

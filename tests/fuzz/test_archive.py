@@ -9,7 +9,7 @@ from repro.core.config import KivatiConfig
 from repro.core.session import ProtectedProgram
 from repro.fuzz.archive import (CASE_FILES, TMP_PREFIX, archive_case,
                                 case_name, load_corpus, salvage_corpus)
-from repro.journal.format import read_journal
+from repro.journal.stream import read_journal
 from repro.journal.replay import record_run
 
 SOURCE = """

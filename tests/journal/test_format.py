@@ -8,7 +8,8 @@ from repro.errors import JournalError
 from repro.journal.events import (JournalEvent, decode_event, encode_event,
                                   jsonable)
 from repro.journal.format import (MAX_FRAME_BYTES, SEGMENT_MAGIC,
-                                  JournalWriter, read_journal, segment_paths)
+                                  JournalWriter, segment_paths)
+from repro.journal.stream import read_journal
 from repro.minic.ast import AccessKind
 
 
@@ -139,6 +140,21 @@ def test_append_torn_simulates_crash_mid_write(tmp_path):
     writer.close()
     result = read_journal(str(path))
     assert result.torn
+    assert [e.seq for e in result.events] == [0, 1, 2]
+
+
+def test_non_advancing_seq_ends_the_strict_prefix(tmp_path):
+    """A CRC-valid frame whose seq does not advance (a duplicated block)
+    is damage: the prefix stops before it and keeps every frame before
+    it."""
+    path = tmp_path / "j"
+    writer = JournalWriter(str(path))
+    for seq in (0, 1, 2, 1, 3):
+        writer.append(make_event(seq))
+    writer.close()
+    result = read_journal(str(path))
+    assert result.torn
+    assert result.torn_segment == str(path)
     assert [e.seq for e in result.events] == [0, 1, 2]
 
 

@@ -11,7 +11,8 @@ from repro.core.config import KivatiConfig, Mode, OptLevel
 from repro.core.session import ProtectedProgram
 from repro.errors import JournalCrash
 from repro.faults.plan import FaultInjector, FaultPlan, FaultSpec
-from repro.journal.format import JournalWriter, read_journal
+from repro.journal.format import JournalWriter
+from repro.journal.stream import read_journal
 from repro.journal.recorder import JournalRecorder
 from repro.minic.ast import AccessKind
 

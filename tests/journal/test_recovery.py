@@ -3,9 +3,10 @@
 import pytest
 
 from journal_common import base_config
+from repro.journal.checker import check_events
 from repro.journal.events import JournalEvent
 from repro.journal.format import JournalWriter
-from repro.journal.recovery import crash_at_frame, reconstruct_state, recover
+from repro.journal.recovery import crash_at_frame, recover
 from repro.journal.replay import record_run
 
 
@@ -89,7 +90,7 @@ def test_recover_aborts_on_lost_frames(racy_program, recorded, tmp_path):
     result = recover(racy_program, path)
     assert result.action == "aborted"
     assert "inconsistent" in result.reason
-    assert any("sequence gap" in p for p in result.state.problems)
+    assert any("sequence gap" in p for p in result.check.problems)
 
 
 def test_recovered_run_report_matches_the_original(racy_program, recorded,
@@ -115,16 +116,16 @@ def _ev(seq, kind, tid=0, **payload):
 
 def test_full_journal_reconstructs_to_a_quiescent_state(recorded):
     _report, recorder = recorded
-    state = reconstruct_state(recorder.events)
+    state = check_events(recorder.events)
     assert state.consistent, state.describe()
-    assert state.completed
+    assert state.clean_close
     assert state.header is not None
     assert not state.windows and not state.suspended
-    assert len(state.violations) == len(recorder.filter("violation"))
+    assert len(state.online) == len(recorder.filter("violation"))
 
 
 def test_state_flags_disarm_generation_mismatch():
-    state = reconstruct_state([
+    state = check_events([
         _ev(0, "arm", slot=0, gen=1, addr=100),
         _ev(1, "disarm", slot=0, gen=2, addr=100),
     ])
@@ -133,27 +134,27 @@ def test_state_flags_disarm_generation_mismatch():
 
 
 def test_state_flags_wake_without_suspend():
-    state = reconstruct_state([_ev(0, "wake", tid=4, reason="trap")])
+    state = check_events([_ev(0, "wake", tid=4, reason="trap")])
     assert not state.consistent
     assert "never suspended" in state.problems[0]
 
 
 def test_state_flags_end_without_begin():
-    state = reconstruct_state([_ev(0, "end", tid=1, ar=3, second="W",
-                                   zombie=False)])
+    state = check_events([_ev(0, "end", tid=1, ar=3, second="W",
+                              zombie=False)])
     assert not state.consistent
     assert "never begun" in state.problems[0]
 
 
 def test_state_tracks_windows_suspensions_and_zombies():
-    state = reconstruct_state([
+    state = check_events([
         _ev(0, "arm", slot=0, gen=1, addr=100),
         _ev(1, "begin", tid=1, ar=3, slot=0, gen=1, first="R"),
         _ev(2, "suspend", tid=2, reason="trap", slot=0, gen=1, addr=100),
         _ev(3, "zombify", tid=1, ar=3, slot=0, gen=1, begin_time=10),
     ])
     assert state.consistent, state.describe()
-    assert not state.completed
+    assert not state.clean_close
     assert (1, 3) in state.zombies and not state.windows
     assert state.suspended == {2}
     assert state.armed == {0: (1, 100)}

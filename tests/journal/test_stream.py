@@ -11,7 +11,7 @@ from repro.errors import JournalError
 from repro.journal.events import JournalEvent, encode_event
 from repro.journal.format import (SEGMENT_MAGIC, _HEADER, JournalWriter,
                                   frame_bytes)
-from repro.journal.stream import EventStream, stream_events
+from repro.journal.stream import EventStream
 
 
 def _ev(seq, kind="sched", **payload):
@@ -148,14 +148,6 @@ def test_bogus_length_field_cannot_trigger_huge_read(tmp_path):
     assert stream.damaged
 
 
-def test_stream_events_convenience(tmp_path):
-    path = str(tmp_path / "j")
-    _write(path, [_ev(i) for i in range(3)])
-    iterator, stream = stream_events(path)
-    assert sum(1 for _ in iterator) == 3
-    assert stream.frames == 3 and not stream.damaged
-
-
 def test_empty_segment_file_yields_nothing(tmp_path):
     path = str(tmp_path / "j")
     with open(path, "wb"):
@@ -164,3 +156,45 @@ def test_empty_segment_file_yields_nothing(tmp_path):
     assert list(stream) == []
     assert not stream.damaged  # writer died before the magic: no data,
     # but also no misparse
+
+
+_REWRITE_SCRIPT = """
+import sys
+from repro.journal.events import JournalEvent
+from repro.journal.format import JournalWriter
+from repro.journal.stream import EventStream
+
+path = sys.argv[1]
+
+def write(count):
+    writer = JournalWriter(path)
+    for seq in range(count):
+        writer.append(JournalEvent(seq, 10 * seq, 0, "sched",
+                                   {"pad": "x" * 200}))
+    writer.close()
+
+write(200)
+events = iter(EventStream(path, resync=False))
+first = next(events)
+write(3)  # another writer truncates and rewrites the file mid-read
+print([first.seq] + [event.seq for event in events] == list(range(200)))
+"""
+
+
+def test_strict_prefix_survives_a_rewrite_mid_read(tmp_path):
+    """The strict prefix reads a snapshot of each segment: a writer that
+    truncates the file while it is read cannot fault the reader (a
+    memory mapping would die of SIGBUS), which matters for replay
+    verification of a journal whose job id a later job reuses."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REWRITE_SCRIPT, str(tmp_path / "j")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

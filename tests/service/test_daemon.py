@@ -127,6 +127,16 @@ def test_unknown_verify_backend_rejected():
         _policy(verify_backend="osmosis")
 
 
+def test_socket_path_over_the_af_unix_limit_rejected(tmp_path):
+    """A path the kernel cannot bind fails up front, naming the limit,
+    before any listener or worker exists."""
+    from repro.errors import ConfigError
+    path = str(tmp_path / ("s" * 120))
+    with pytest.raises(ConfigError, match="107-byte AF_UNIX limit"):
+        KivatiDaemon(path, _policy())
+    assert not os.path.exists(path)
+
+
 def test_stats_op_reports_pool(client):
     response = client.stats()
     assert response["ok"]
