@@ -8,8 +8,10 @@ runs: simulated time, instruction count, kernel entries, the output and
 a SHA-256 over the ``key()`` of every journal event, for generated
 programs in bug-finding mode and for hand-written cases (a deadlock, a
 sleep that wakes while other cores idle, a divide-by-zero on three
-cores, and a run that passes its step limit).  A change that only makes
-the machine faster must leave every value here as it is.
+cores, a run that passes its step limit, and two busy cores whose
+result turns on a tie: between the two cores, with a timeout due, and
+with a parked core).  A change that only makes the machine faster must
+leave every value here as it is.
 """
 
 import hashlib
@@ -153,6 +155,63 @@ void t1() { while (1) { g = g + 1; } }
 void main() { spawn t1(); join(); }
 """
 
+# Two busy cores that hand the turn back and forth.  Each program's
+# observable result depends on which core runs first at one clock: a
+# lock taken on a tie, a timeout journaled at the earliest clock, a
+# parked core that takes a woken thread.
+
+#: two spinners contend for one lock on two cores; a tie between them
+#: goes to the lower core index
+TIE_SRC = """
+int m;
+void work(int n) { int i = 0; while (i < n) { i = i + 1; } }
+void t1() { work(10); int i = 0; while (i < 40) { lock(&m); work(2); unlock(&m); work(4); i = i + 1; } }
+void main() {
+    spawn t1();
+    int i = 0;
+    while (i < 40) { lock(&m); work(2); unlock(&m); work(3); i = i + 1; }
+    join();
+    output(i);
+}
+"""
+
+#: four threads on two cores: the writer traps into the holder's region
+#: and is suspended, and its timeout falls due while main and the
+#: spinner keep both cores busy, sometimes at exactly the clock of the
+#: core that runs next (the timeout is journaled at the earliest clock)
+TIMEOUT_SRC = """
+int x;
+int r;
+void work(int n) { int i = 0; int s = 0; while (i < n) { s = s + i; i = i + 1; } r = r + s; }
+void holder() { int t = x; sleep(15000); x = t + 1; }
+void writer() { x = x + 100; }
+void spinner() { work(900); }
+void main() {
+    spawn holder();
+    spawn writer();
+    spawn spinner();
+    work(1000);
+    join();
+    output(x);
+}
+"""
+
+#: three cores: the sleeper's core is parked between its lock rounds and
+#: ties with the spinner that runs next; then the parked core comes first
+PARKED_TIE_SRC = """
+int m;
+void work(int n) { int i = 0; while (i < n) { i = i + 1; } }
+void sleeper() { int i = 0; while (i < 12) { sleep(130); lock(&m); work(1); unlock(&m); i = i + 1; } }
+void spin(int w) { int i = 0; while (i < 40) { lock(&m); work(6); unlock(&m); work(w); i = i + 1; } }
+void main() {
+    spawn sleeper();
+    spawn spin(4);
+    spin(3);
+    join();
+    output(m);
+}
+"""
+
 #: name -> (source, worker threads, seed, max_steps, pin)
 HAND_GOLDEN = {
     "deadlock": (
@@ -165,6 +224,15 @@ HAND_GOLDEN = {
     "divide-by-zero-3-cores": (
         DIVIDE_SRC, 2, 3, 100_000,
         (5235, 611, 9, [], "DivideByZero", False, 9, "1dbb7b8233f9f1b3")),
+    "two-busy-cores-tie": (
+        TIE_SRC, 1, 1, 100_000,
+        (30239, 15809, 53, [40], None, False, 31, "abdf40e5b133f30d")),
+    "two-busy-cores-timeout": (
+        TIMEOUT_SRC, 1, 1, 100_000,
+        (52751, 51432, 46, [101], None, False, 56, "49c714ba72ed9a17")),
+    "two-busy-cores-parked-tie": (
+        PARKED_TIE_SRC, 2, 1, 100_000,
+        (40445, 23099, 132, [0], None, False, 65, "f1750cab86d79464")),
 }
 
 #: the step-limit case: (max_steps, journal events, events sha)

@@ -7,8 +7,10 @@ one trap-before run and one run with the trap and debug-register fault
 points injected, every simulated quantity a dispatch change could
 disturb: simulated time, instruction count, kernel entries, a SHA-256
 of the output, the verdict multiset and the kernel's crossings, traps
-and undos.  A change that only makes the machine faster must leave every
-value here as it is.
+and undos.  The protected apps runs also pin a SHA-256 over the
+``key()`` of every journal event, which orders every scheduling
+decision and kernel action of the run.  A change that only makes the
+machine faster must leave every value here as it is.
 
 Scale: ``workload_suite(0.05)`` with SPEC OMP's element kernel cut to
 9 steps (as perfbench does), which keeps the file to a few seconds.
@@ -25,6 +27,7 @@ from repro.core.session import ProtectedProgram
 from repro.faults.chaos import CHAOS_SRC
 from repro.faults.chaos import default_config as chaos_config
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.journal.recorder import JournalRecorder
 from repro.workloads.apps import build_specomp
 from repro.workloads.catalog import workload_suite
 
@@ -49,6 +52,15 @@ def _sha(value):
 def _vanilla_pin(result):
     return (result.time_ns, result.instr_count, result.kernel_entries,
             _sha(list(result.output)))
+
+
+def _events_pin(events):
+    """(event count, SHA-256 over every event ``key()``)."""
+    digest = hashlib.sha256()
+    for event in events:
+        digest.update(repr(event.key()).encode("utf-8"))
+        digest.update(b"\n")
+    return len(events), digest.hexdigest()[:16]
 
 
 def _protected_pin(report):
@@ -115,6 +127,17 @@ APPS_GOLDEN = {
     },
 }
 
+#: app -> seed -> journal pin of the protected run: (event count, sha
+#: over every event key())
+APPS_JOURNAL_GOLDEN = {
+    "NSS": {1: (254, "b24d249d058f68a9"), 2: (251, "97e7f3ee881f8563")},
+    "VLC": {1: (90, "6e95bca11a55e5f3"), 2: (90, "a05436a8a55b9dba")},
+    "Webstone": {1: (306, "cba1d652c2dabb4b"), 2: (339, "85f1ead5ce6ed591")},
+    "TPC-W": {1: (380, "4ee958ae6da50a73"), 2: (404, "d033cd606a7c52f7")},
+    "SPEC OMP": {1: (2305, "27973fe3ccaa30f6"),
+                 2: (2444, "c43178130106cccd")},
+}
+
 #: Webstone, seed 2, trap-before hardware
 TRAP_BEFORE_GOLDEN = (108811, 58439, 152, "a8f2ecf6c811b67c", 7,
                       "1e05a78b8e1d36e3", 77, 3, 0)
@@ -144,11 +167,15 @@ def _fired(report):
 def test_apps_vanilla_and_protected_are_pinned(programs, name):
     program = programs[name]
     got = {}
+    journals = {}
     for seed in SEEDS:
         vanilla = program.run_vanilla(seed=seed)
-        report = program.run(_config(), seed=seed)
+        recorder = JournalRecorder()
+        report = program.run(_config(journal=recorder), seed=seed)
         got[seed] = (_vanilla_pin(vanilla), _protected_pin(report))
+        journals[seed] = _events_pin(recorder.events)
     assert got == APPS_GOLDEN[name]
+    assert journals == APPS_JOURNAL_GOLDEN[name]
 
 
 def test_trap_before_run_is_pinned(programs):
