@@ -51,10 +51,10 @@ begin, a zombie end without a zombify, a zombify without a begin, a
 disarm of a slot not armed at that generation, a wake of a thread never
 suspended and — after a ``run-start`` header — a begin or trigger on an
 epoch no ``arm`` opened are anomalies on an intact journal and
-unverified casualties after a gap.  The result also carries the state
-the journal leaves behind (run-start config, armed slots, open windows,
-zombies, suspended threads) and :attr:`CheckResult.consistent`: no
-anomaly and no sequence gap.
+unverified casualties after a gap or a pruned head.  The result also
+carries the state the journal leaves behind (run-start config, armed
+slots, open windows, zombies, suspended threads) and
+:attr:`CheckResult.consistent`: no anomaly and no sequence gap.
 """
 
 from repro.analysis.watchtype import is_unserializable
@@ -225,11 +225,14 @@ class CheckResult:
                  % (self.status.upper(), self.events_checked,
                     self.windows_checked, len(self.verdicts),
                     len(self.online), self.coverage)]
-        if self.missing_events:
+        if self.missing_events or self.corruptions:
+            torn = sum(1 for c in self.corruptions
+                       if c["reason"] == "torn-tail")
             lines.append("  %d event(s) missing in %d gap(s); "
-                         "%d corruption record(s)"
+                         "%d corruption record(s)%s"
                          % (self.missing_events, len(self.gaps),
-                            len(self.corruptions)))
+                            len(self.corruptions),
+                            " (%d torn tail)" % torn if torn else ""))
         lines.append("  reconstructed state: %d armed slot(s), %d open "
                      "window(s), %d zombie(s), %d suspended thread(s), "
                      "%d unverifiable window(s)%s"
@@ -381,7 +384,7 @@ class StreamingChecker:
                 # window; either way the stale window can never be
                 # evaluated
                 self._detach(stale)
-                if self._missing or self._gaps:
+                if self._frames_lost():
                     self._unverified += 1
             region = _Region(tid, p["ar"], p.get("slot"), p.get("gen"),
                              p.get("first"), event.time_ns, seq)
@@ -452,10 +455,17 @@ class StreamingChecker:
                     self._note_damage("wake of tid %d never suspended" % tid)
                 self._suspended.discard(tid)
 
+    def _frames_lost(self):
+        """Whether frames before this point are known lost: a sequence
+        gap, or a head that rotation pruned (a first seq above 0 and no
+        ``run-start``)."""
+        return bool(self._missing
+                    or (self._first_seq and self._run_start is None))
+
     def _note_damage(self, text):
         """A structural impossibility: an anomaly on an intact journal, an
         expected casualty (counted, not alarmed) on a damaged one."""
-        if self._missing or self._gaps:
+        if self._frames_lost():
             self._unverified += 1
         else:
             event = self._last

@@ -18,11 +18,12 @@ per caller:
   prefix.
 
 Either way segments are parsed frame by frame, so a million-event
-journal is checked without building the event list in memory.  The
-checker memory-maps each segment read-only; the strict prefix reads a
-copy, because recovery and replay verification may read a journal that
-another process is rewriting, and a mapping of a file truncated under
-it faults.  Damage is **accounted, not raised**: every
+journal is checked without building the event list in memory.  Each
+segment is read into memory whole (a writer bounds it by ``max_bytes``)
+rather than memory-mapped: the checker, recovery and replay
+verification may read a journal that another process is rewriting, and
+a mapping of a file truncated under it faults (SIGBUS) instead of
+reading short.  Damage is **accounted, not raised**: every
 skipped byte range becomes a :class:`Corruption` record.  The checker
 turns those and the sequence gaps into an explicit coverage fraction
 instead of a crash or a silent full-pass claim.
@@ -32,7 +33,6 @@ pruned-oldest rotation simply surfaces as a stream that starts at a
 non-zero sequence number.
 """
 
-import mmap
 import os
 import zlib
 
@@ -98,22 +98,8 @@ class EventStream:
             raise JournalError("no journal at %s" % self.path)
         for seg in paths:
             with open(seg, "rb") as f:
-                if not self.resync:
-                    # the strict prefix reads a snapshot: a segment that a
-                    # writer truncates under a mapping faults (SIGBUS)
-                    # instead of reading short
-                    view = f.read()
-                else:
-                    try:
-                        view = mmap.mmap(f.fileno(), 0,
-                                         access=mmap.ACCESS_READ)
-                    except (ValueError, OSError):
-                        view = f.read()  # empty or unmappable: small anyway
-            try:
-                yield from self._iter_segment(view, seg)
-            finally:
-                if isinstance(view, mmap.mmap):
-                    view.close()
+                data = f.read()
+            yield from self._iter_segment(data, seg)
             self.segments_read += 1
             if self.corruptions and not self.resync:
                 return

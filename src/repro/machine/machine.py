@@ -6,7 +6,10 @@ paying costs from the CostModel. Timer events (sleeps, Kivati timeouts,
 bug-finding pauses) live in a global event queue and fire when simulated
 time reaches them. ``Machine.run`` is the only dispatch loop: every opcode
 is implemented once, inline in it, and a core keeps running while it stays
-the earliest. An idle core whose kernel-idle poll is a no-op is parked: it
+the earliest. When exactly two cores are active and the other one becomes
+the earliest, with a thread to run, no event due and no parked core at or
+before its clock, the turn passes straight to it: the core scan could only
+pick it. An idle core whose kernel-idle poll is a no-op is parked: it
 leaves the core scan and is advanced inline, to the clock the idle loop
 would have given it, only when a running core's clock reaches its own.
 
@@ -399,7 +402,13 @@ class Machine:
         the earliest core (the lowest index on a tie), fires any event
         due by its clock, places a thread on it or idles it, and then
         executes its thread's instructions inline while it stays the
-        earliest."""
+        earliest.  With exactly two active cores, a turn that ends
+        because the other core is now the earliest passes straight to
+        that core when the scan would pick it and run it unchanged: its
+        thread is running, no event is due by its clock and no parked
+        core is at or before it.  Every other end of a turn goes back
+        to the scan, which alone fires events, places threads and steps
+        parked cores."""
         cores = self.cores
         events = self._events
         run_queue = self.run_queue
@@ -520,6 +529,11 @@ class Machine:
                     if bound < limit:
                         limit = bound
                 quantum_end = core.quantum_end
+                # the other active core if there is exactly one: the
+                # turn may be handed straight to it (see below)
+                partner = None
+                if len(active) == 2:
+                    partner = active[active[0] is core]
                 while True:
                     # ---- dispatch one instruction of ``thread`` ----
                     if instrs >= budget:
@@ -835,6 +849,33 @@ class Machine:
                     if clock < limit and not (events
                                               and events[0][0] <= clock):
                         continue
+                    if horizon <= clock < _NEVER and partner is not None:
+                        # The other active core is now the earliest: its
+                        # clock cannot change during this turn, and the
+                        # tie term in ``horizon`` gives a tie to the lower
+                        # index.  If it would run its thread, with no event
+                        # due by its clock (one due at exactly its clock
+                        # fires first) and no parked core at or before it
+                        # (a tied parked core comes first), the outer loop
+                        # could only pick it and run it: hand the turn
+                        # over here instead.
+                        successor = partner.thread
+                        start = partner.clock
+                        if (start < park_clock and successor is not None
+                                and successor.state is _RUNNING
+                                and not (events and events[0][0] <= start)):
+                            horizon = clock + (index > partner.index)
+                            core, partner = partner, core
+                            thread = successor
+                            index = core.index
+                            limit = horizon
+                            for other in parked:
+                                bound = other.clock + (other.index > index)
+                                if bound < limit:
+                                    limit = bound
+                            quantum_end = core.quantum_end
+                            continue
+                        break
                     if (clock < horizon and not run_queue
                             and not (events and events[0][0] <= clock + 1)
                             and runtime.idle_polls_are_noop(parked)):

@@ -209,6 +209,22 @@ def test_pruned_rotation_head_counts_as_missing():
     assert not result.complete
 
 
+def test_pruned_head_demotes_anomalies_to_unverified():
+    """Rotation pruned seqs 0..9, run-start among them: an end whose
+    begin and a wake whose suspend fell in the pruned head are
+    casualties of the lost frames, not anomalies."""
+    events = [
+        _ev(10, 0, "end", ar=1, second="W"),
+        _ev(11, 0, "wake"),
+        _ev(12, 0, "run-end"),
+    ]
+    result = check_events(events)
+    assert result.anomalies == []
+    assert result.windows_unverified == 2
+    assert result.missing_events == 10
+    assert result.status == "partial" and not result.complete
+
+
 def test_epoch_gc_bounds_retained_triggers():
     """Sequential windows with re-armed slots: every closed epoch's
     triggers are dropped, so the retained-trigger peak stays at the

@@ -83,6 +83,29 @@ def test_journal_command_flags_torn_tail(recorded_journal, capsys):
     assert "TORN TAIL" in capsys.readouterr().out
 
 
+def test_check_command_names_a_torn_tail_without_a_gap(recorded_journal,
+                                                      tmp_path, capsys):
+    """A copy cut three bytes short loses no sequence number, only its
+    last frame: ``check`` says why it is partial, and ``--json`` carries
+    the same corruption record as before."""
+    import json
+
+    with open(recorded_journal, "rb") as f:
+        data = f.read()
+    cut = str(tmp_path / "cut.journal")
+    with open(cut, "wb") as f:
+        f.write(data[:-3])
+    assert main(["check", "--strict", cut]) == 3
+    out = capsys.readouterr().out
+    assert "checker: PARTIAL" in out
+    assert ("0 event(s) missing in 0 gap(s); 1 corruption record(s) "
+            "(1 torn tail)") in out
+    assert main(["check", "--json", cut]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["missing_events"] == 0 and payload["gaps"] == []
+    assert [c["reason"] for c in payload["corruptions"]] == ["torn-tail"]
+
+
 def test_journal_command_missing_file_exits_2(tmp_path, capsys):
     assert main(["journal", str(tmp_path / "absent")]) == 2
 

@@ -181,11 +181,36 @@ print([first.seq] + [event.seq for event in events] == list(range(200)))
 """
 
 
-def test_strict_prefix_survives_a_rewrite_mid_read(tmp_path):
-    """The strict prefix reads a snapshot of each segment: a writer that
-    truncates the file while it is read cannot fault the reader (a
-    memory mapping would die of SIGBUS), which matters for replay
-    verification of a journal whose job id a later job reuses."""
+_CHECK_REWRITE_SCRIPT = """
+import sys
+from repro.journal import checker
+from repro.journal.events import JournalEvent
+from repro.journal.format import JournalWriter
+
+path = sys.argv[1]
+
+def write(count):
+    writer = JournalWriter(path)
+    for seq in range(count):
+        writer.append(JournalEvent(seq, 10 * seq, 0, "sched",
+                                   {"pad": "x" * 200}))
+    writer.close()
+
+feed = checker.StreamingChecker.feed
+
+def feed_then_rewrite(self, event):
+    feed(self, event)
+    if event.seq == 0:
+        write(3)  # another writer truncates and rewrites the file mid-read
+
+write(200)
+checker.StreamingChecker.feed = feed_then_rewrite
+result = checker.check_journal(path)
+print(result.events_checked == 200 and not result.corruptions)
+"""
+
+
+def _run_rewrite_script(script, path):
     import subprocess
     import sys
 
@@ -193,8 +218,25 @@ def test_strict_prefix_survives_a_rewrite_mid_read(tmp_path):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _REWRITE_SCRIPT, str(tmp_path / "j")],
+        [sys.executable, "-c", script, path],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
+
+
+def test_strict_prefix_survives_a_rewrite_mid_read(tmp_path):
+    """The strict prefix reads a snapshot of each segment: a writer that
+    truncates the file while it is read cannot fault the reader (a
+    memory mapping would die of SIGBUS), which matters for replay
+    verification of a journal whose job id a later job reuses."""
+    _run_rewrite_script(_REWRITE_SCRIPT, str(tmp_path / "j"))
+
+
+def test_check_journal_survives_a_rewrite_mid_read(tmp_path):
+    """The checker's resynchronizing reader reads a snapshot too: a
+    journal truncated while ``check_journal`` streams it is checked as
+    it was when its segment was read, never killed by SIGBUS (the
+    service's checker backend and ``kivati fleet check`` may check a
+    journal another job is rewriting)."""
+    _run_rewrite_script(_CHECK_REWRITE_SCRIPT, str(tmp_path / "j"))
